@@ -24,7 +24,7 @@ Schema (unknown keys are rejected at every level):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import model, noise
@@ -166,9 +166,7 @@ def _parse_noise(data: dict) -> noise.GaussianDriverSpec:
     else:
         raise ConfigError(f"unknown noise kind {kind!r}")
     if hint is not None:
-        spec = noise.GaussianDriverSpec(
-            kind=spec.kind, hurst=spec.hurst, hurst_fn=spec.hurst_fn,
-            cov=spec.cov, holder_exponent_hint=hint, cache_key=spec.cache_key)
+        spec = replace(spec, holder_exponent_hint=hint)
     return spec
 
 

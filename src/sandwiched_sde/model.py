@@ -61,11 +61,6 @@ def sin_bound(a: float, b: float, c: float) -> Callable[[np.ndarray], np.ndarray
     return lambda t: a + b * np.sin(c * np.asarray(t, dtype=float))
 
 
-def _sin_holder_constant(b: float, c: float, lam: float, horizon: float) -> float:
-    # |b c (t-s)| <= |b c| T^(1-lam) |t-s|^lam on [0, T]
-    return abs(b * c) * max(horizon, 1e-300) ** (1.0 - lam)
-
-
 @dataclass(frozen=True)
 class BoundFunctions:
     """Barrier functions with their joint Holder regularity."""
@@ -96,7 +91,9 @@ class DriftSpec:
     c1, p: local Lipschitz scale and blow-up power; c2, gamma, y_star:
     repulsion strength, power, and zone width near the barriers; c3: an
     upper bound on db/dy. ``family`` and ``params`` identify the built-in
-    closed forms used by the solver's specialized steppers.
+    closed forms used by the solver's specialized steppers; the built-in
+    families' ``b`` also takes arrays of t and y, which those steppers use
+    to check their residuals. Custom drifts only need scalar callables.
     """
 
     b: Callable[[float, float], float]
@@ -216,7 +213,11 @@ def cir_drift(kappa1: float, kappa2: float, gamma: float,
     )
 
     def b(t, y):
-        if y <= 0.0:
+        # Scalars for the step solvers; arrays for the solver's residual check.
+        if isinstance(y, np.ndarray):
+            if np.any(y <= 0.0):
+                raise DomainError(f"CIR drift evaluated at y={np.min(y)} <= 0")
+        elif y <= 0.0:
             raise DomainError(f"CIR drift evaluated at y={y} <= 0")
         return kappa1 / y ** gamma - kappa2 * y
 
@@ -271,10 +272,19 @@ def _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds, family):
                                           gap_min, y_max)
 
     def b(t, y):
-        lo = float(phi(t))
-        hi = float(psi(t))
-        if y <= lo or y >= hi:
-            raise DomainError(f"drift evaluated at y={y} outside ({lo}, {hi})")
+        # Scalars for the step solvers; arrays for the solver's residual check.
+        if isinstance(y, np.ndarray):
+            lo, hi = phi(t), psi(t)
+            outside = (y <= lo) | (y >= hi)
+            if np.any(outside):
+                k = int(np.argmax(outside))
+                raise DomainError(f"drift evaluated at y={y[k]} outside "
+                                  f"({lo[k]}, {hi[k]})")
+        else:
+            lo = float(phi(t))
+            hi = float(psi(t))
+            if y <= lo or y >= hi:
+                raise DomainError(f"drift evaluated at y={y} outside ({lo}, {hi})")
         return (kappa1 / (y - lo) ** gamma
                 - kappa2 / (hi - y) ** gamma
                 - kappa3 * y)

@@ -11,14 +11,13 @@ safeguarded Newton solve.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import ONE_SIDED, TWO_SIDED, DriftSpec, SandwichConfig, max_mesh
+from .model import TWO_SIDED, DomainError, DriftSpec, SandwichConfig, max_mesh
 from .noise import NoisePath, TimeGrid
 
 __all__ = [
@@ -83,68 +82,104 @@ def implicit_step_cir(y_prev: float, delta: float, dz: float,
     Solves y = z + (kappa1/y - kappa2*y)*delta for the unique positive
     root; the discriminant is positive for any z when kappa1 > 0.
     """
-    z = y_prev + dz
     scale = 1.0 + kappa2 * delta
-    return (z + math.sqrt(z * z + 4.0 * kappa1 * delta * scale)) / (2.0 * scale)
+    return _cir_root(y_prev + dz, 4.0 * kappa1 * delta * scale, 2.0 * scale)
+
+
+def _cir_root(z: float, c: float, two_scale: float) -> float:
+    # Positive root of (two_scale/2) y^2 - z y - c/(2 two_scale) = 0. For
+    # z < 0 the rationalized form avoids cancelling sqrt(z^2 + c) against -z.
+    if z < 0.0:
+        return c / (two_scale * (math.sqrt(z * z + c) - z))
+    return (z + math.sqrt(z * z + c)) / two_scale
+
+
+def _tsb_scale(delta: float, kappa3: float) -> float:
+    scale = 1.0 + delta * kappa3
+    if scale <= 0.0:
+        raise StepError(f"mesh too coarse for kappa3={kappa3}: 1 + delta*kappa3 <= 0")
+    return scale
 
 
 def tsb_coefficients(y_prev: float, dz: float, delta: float,
                      kappa1: float, kappa2: float, kappa3: float,
                      phi_next: float, psi_next: float) -> tuple:
     """Monic cubic coefficients (B2, B1, B0) of the implicit TSB step."""
-    scale = 1.0 + delta * kappa3
-    if scale <= 0.0:
-        raise StepError(f"mesh too coarse for kappa3={kappa3}: 1 + delta*kappa3 <= 0")
-    z = y_prev + dz
-    b0 = (-phi_next * psi_next * z
-          + delta * (kappa1 * psi_next + kappa2 * phi_next)) / scale
-    b1 = phi_next * psi_next \
-        + ((phi_next + psi_next) * z - delta * (kappa1 + kappa2)) / scale
-    b2 = -phi_next - psi_next - z / scale
+    return _tsb_cubic(y_prev + dz, delta, _tsb_scale(delta, kappa3),
+                      kappa1, kappa2, phi_next, psi_next)
+
+
+def _tsb_cubic(z, delta, scale, kappa1, kappa2, phi, psi) -> tuple:
+    b0 = (-phi * psi * z + delta * (kappa1 * psi + kappa2 * phi)) / scale
+    b1 = phi * psi + ((phi + psi) * z - delta * (kappa1 + kappa2)) / scale
+    b2 = -phi - psi - z / scale
     return b2, b1, b0
 
 
-def cardano_solve(b2: float, b1: float, b0: float) -> tuple:
-    """Three complex roots of y^3 + b2*y^2 + b1*y + b0 = 0 (Cardano).
+def _cardano(b2: float, b1: float, b0: float) -> tuple:
+    """Roots of y^3 + b2*y^2 + b1*y + b0 = 0 in real arithmetic.
 
-    The depressed cubic u^3 + q1*u + q2 = 0 (y = u - b2/3) is solved in
-    trigonometric form when all roots are real and via paired complex
-    cube roots otherwise.
+    Returns (r0, r1, r2, h): the roots are r0, r1 + h*i and r2 - h*i,
+    with h = 0 when all three are real. The depressed cubic
+    u^3 + q1*u + q2 = 0 (y = u - b2/3) is solved in trigonometric form
+    when all roots are real and via real cube roots otherwise.
     """
     q1 = b1 - b2 * b2 / 3.0
     q2 = 2.0 * b2 ** 3 / 27.0 - b2 * b1 / 3.0 + b0
     disc = (q1 / 3.0) ** 3 + (q2 / 2.0) ** 2
     shift = b2 / 3.0
     if q1 == 0.0 and q2 == 0.0:
-        u = (0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j)
-    elif disc < 0.0:
-        # Three distinct real roots; trigonometric form avoids complex
+        return -shift, -shift, -shift, 0.0
+    if disc < 0.0:
+        # Three distinct real roots; the trigonometric form avoids complex
         # round-trip error.
         rho = 2.0 * math.sqrt(-q1 / 3.0)
         arg = 3.0 * q2 / (q1 * rho)
         theta = math.acos(min(1.0, max(-1.0, arg)))
-        u = tuple(complex(rho * math.cos((theta - 2.0 * math.pi * k) / 3.0))
-                  for k in range(3))
+        return (rho * math.cos(theta / 3.0) - shift,
+                rho * math.cos((theta - 2.0 * math.pi) / 3.0) - shift,
+                rho * math.cos((theta - 4.0 * math.pi) / 3.0) - shift,
+                0.0)
+    sqrt_disc = math.sqrt(disc)
+    alpha = _cbrt(-q2 / 2.0 + sqrt_disc)
+    # Pick the cube root beta with alpha*beta = -q1/3.
+    if alpha != 0.0:
+        beta = (-q1 / 3.0) / alpha
     else:
-        sqrt_disc = math.sqrt(disc)
-        alpha = _cbrt(-q2 / 2.0 + sqrt_disc)
-        # Pick the cube-root branch of beta with alpha*beta = -q1/3.
-        if abs(alpha) > 0.0:
-            beta = (-q1 / 3.0) / alpha
-        else:
-            beta = _cbrt(-q2 / 2.0 - sqrt_disc)
-        s, d = alpha + beta, alpha - beta
-        u = (s,
-             -s / 2.0 + 1j * math.sqrt(3.0) / 2.0 * d,
-             -s / 2.0 - 1j * math.sqrt(3.0) / 2.0 * d)
-    return tuple(r - shift for r in u)
+        beta = _cbrt(-q2 / 2.0 - sqrt_disc)
+    s = alpha + beta
+    pair = -s / 2.0 - shift
+    return s - shift, pair, pair, math.sqrt(3.0) / 2.0 * (alpha - beta)
 
 
-def _cbrt(x: float) -> complex:
-    return complex(math.copysign(abs(x) ** (1.0 / 3.0), x))
+def _cbrt(x: float) -> float:
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def cardano_solve(b2: float, b1: float, b0: float) -> tuple:
+    """Three complex roots of y^3 + b2*y^2 + b1*y + b0 = 0 (Cardano)."""
+    r0, r1, r2, h = _cardano(b2, b1, b0)
+    return complex(r0), complex(r1, h), complex(r2, -h)
 
 
 _REAL_ROOT_TOL = 1e-9
+
+
+def _tsb_root(z, delta, scale, kappa1, kappa2, phi, psi) -> Optional[float]:
+    """The implicit TSB step: the cubic root strictly inside (phi, psi).
+
+    A root counts as real when its imaginary part is at most
+    _REAL_ROOT_TOL * (1 + |real part|). Returns None unless exactly one
+    real root lies strictly inside.
+    """
+    b2, b1, b0 = _tsb_cubic(z, delta, scale, kappa1, kappa2, phi, psi)
+    r0, r1, r2, h = _cardano(b2, b1, b0)
+    if abs(h) > _REAL_ROOT_TOL * (1.0 + abs(r1)):
+        return r0 if phi < r0 < psi else None
+    in0, in1, in2 = phi < r0 < psi, phi < r1 < psi, phi < r2 < psi
+    if in0 + in1 + in2 != 1:
+        return None
+    return r0 if in0 else r1 if in1 else r2
 
 
 def implicit_step_tsb(eq: ImplicitStepEquation) -> float:
@@ -153,19 +188,13 @@ def implicit_step_tsb(eq: ImplicitStepEquation) -> float:
     params = drift.param_dict
     phi_next = float(drift.bounds.phi(eq.t_next))
     psi_next = float(drift.bounds.psi(eq.t_next))
-    b2, b1, b0 = tsb_coefficients(
-        0.0, eq.rhs, eq.delta,
-        params["kappa1"], params["kappa2"], params["kappa3"],
-        phi_next, psi_next)
-    roots = cardano_solve(b2, b1, b0)
-    inside = [r.real for r in roots
-              if abs(r.imag) <= _REAL_ROOT_TOL * (1.0 + abs(r.real))
-              and phi_next < r.real < psi_next]
-    if len(inside) != 1:
+    y = _tsb_root(eq.rhs, eq.delta, _tsb_scale(eq.delta, params["kappa3"]),
+                  params["kappa1"], params["kappa2"], phi_next, psi_next)
+    if y is None:
         raise StepError(
-            f"expected exactly one real root in ({phi_next}, {psi_next}), "
-            f"found {len(inside)} among {roots}; mesh condition likely violated")
-    return inside[0]
+            f"expected exactly one real root in ({phi_next}, {psi_next}) "
+            f"for rhs={eq.rhs}; mesh condition likely violated")
+    return y
 
 
 _BRACKET_BUDGET = 64
@@ -272,8 +301,9 @@ def simulate(config: SandwichConfig, noise: NoisePath,
 
     Refuses to run when the mesh condition fails (uniqueness of the
     implicit step is only guaranteed under it) unless ``unsafe_mesh``.
-    Every accepted step is polished until the residual
-    |y - b(t,y)*delta - z| falls below tol*max(1,|z|).
+    Every accepted step meets the residual contract
+    |y - b(t,y)*delta - z| <= tol*max(1,|z|); a step that cannot meet it
+    raises StepError naming the step index.
     """
     if noise.grid != config.grid:
         raise ValueError("noise grid does not match configuration grid")
@@ -281,43 +311,129 @@ def simulate(config: SandwichConfig, noise: NoisePath,
         raise ValueError(
             f"mesh {config.mesh:.6g} exceeds the admissible maximum "
             f"{max_mesh(config):.6g}; pass unsafe_mesh=True to override")
+    mode = _choose_stepper(config.drift, stepper)
+    if mode == "bracketed_generic":
+        values, residuals = _generic_path(config, noise, tol)
+    else:
+        values, residuals = _closed_form_path(config, noise, mode, tol)
+    return SimulatedPath(grid=config.grid, values=values,
+                         noise_seed=noise.seed, stepper=mode,
+                         residuals=residuals)
+
+
+def _generic_path(config: SandwichConfig, noise: NoisePath, tol: float) -> tuple:
     drift = config.drift
-    mode = _choose_stepper(drift, stepper)
-    n = config.grid_points
-    delta = config.mesh
+    n, delta = config.grid_points, config.mesh
     tt = config.grid.points
     dz = np.diff(noise.values)
-    params = drift.param_dict
-
     values = np.empty(n + 1)
     residuals = np.zeros(n + 1)
-    values[0] = config.y0
-    y = config.y0
+    values[0] = y = config.y0
     for k in range(n):
         t_next = tt[k + 1]
         z = y + dz[k]
         eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
         try:
-            if mode == "closed_form_cir":
-                y_new = implicit_step_cir(y, delta, dz[k],
-                                          params["kappa1"], params["kappa2"])
-            elif mode == "cardano_tsb":
-                y_new = implicit_step_tsb(eq)
-            else:
-                y_new = implicit_step_generic(eq, tol=tol)
+            y = implicit_step_generic(eq, tol=tol)
         except StepError as exc:
-            raise StepError(f"step {k + 1} (t={t_next:.6g}, y={y:.6g}): {exc}") from exc
-        resid = abs(y_new - drift.b(t_next, y_new) * delta - z)
-        if resid > tol * max(1.0, abs(z)):
-            # Closed forms are exact algebra; polish any float round-off.
-            y_new = implicit_step_generic(eq, tol=tol)
-            resid = abs(y_new - drift.b(t_next, y_new) * delta - z)
-        values[k + 1] = y_new
-        residuals[k + 1] = resid
-        y = y_new
-    return SimulatedPath(grid=config.grid, values=values,
-                         noise_seed=noise.seed, stepper=mode,
-                         residuals=residuals)
+            raise StepError(f"step {k + 1} (t={t_next:.6g}, y={values[k]:.6g}): {exc}") from exc
+        values[k + 1] = y
+        residuals[k + 1] = abs(y - drift.b(t_next, y) * delta - z)
+    return values, residuals
+
+
+_RESUME_WINDOW = 64
+
+
+def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
+                      tol: float) -> tuple:
+    """The closed-form routes: a loop on Python floats, then array checks.
+
+    Barriers, increments and constants are evaluated once per path. The
+    residual contract is checked with one array call of ``drift.b`` per
+    window of steps, and the first window is the whole path. The first
+    step k of a window that misses the contract is polished by the
+    generic solver; the closed form then resumes at k + 1 over a short
+    window that doubles while no step fails. A TSB step whose cubic has
+    no unique root inside the barriers is solved by the generic solver.
+    """
+    drift = config.drift
+    params = drift.param_dict
+    kappa1, kappa2 = params["kappa1"], params["kappa2"]
+    n, delta = config.grid_points, config.mesh
+    tt = config.grid.points
+    dz = np.diff(noise.values)
+    dz_list = dz.tolist()
+    values = np.empty(n + 1)
+    residuals = np.zeros(n + 1)
+    values[0] = config.y0
+
+    if mode == "closed_form_cir":
+        scale = 1.0 + kappa2 * delta
+        c, two_scale = 4.0 * kappa1 * delta * scale, 2.0 * scale
+
+        def advance(start, stop):
+            y = float(values[start])
+            for k in range(start, stop):
+                y = _cir_root(y + dz_list[k], c, two_scale)
+                values[k + 1] = y
+    else:
+        scale = _tsb_scale(delta, params["kappa3"])
+        phi = np.broadcast_to(drift.bounds.phi(tt), tt.shape).tolist()
+        psi = np.broadcast_to(drift.bounds.psi(tt), tt.shape).tolist()
+
+        def advance(start, stop):
+            y = float(values[start])
+            for k in range(start, stop):
+                z = y + dz_list[k]
+                y = _tsb_root(z, delta, scale, kappa1, kappa2, phi[k + 1], psi[k + 1])
+                if y is None:
+                    y = _generic_step(drift, float(tt[k + 1]), delta, z, tol, k + 1)
+                values[k + 1] = y
+
+    start, window = 0, n
+    while start < n:
+        stop = min(n, start + window)
+        advance(start, stop)
+        t = tt[start + 1:stop + 1]
+        y = values[start + 1:stop + 1]
+        z = values[start:stop] + dz[start:stop]
+        try:
+            resid = np.abs(y - drift.b(t, y) * delta - z)
+        except DomainError as exc:
+            k = start + 1 + int(np.argmin(_strictly_inside(drift, t, y)))
+            raise StepError(f"step {k} (t={tt[k]:.6g}): {exc}") from exc
+        ok = resid <= tol * np.maximum(1.0, np.abs(z))  # False on NaN
+        j = int(np.argmin(ok))
+        if ok[j]:
+            residuals[start + 1:stop + 1] = resid
+            start, window = stop, 2 * window
+            continue
+        k = start + 1 + j
+        residuals[start + 1:k] = resid[:j]
+        t_k, z_k = float(t[j]), float(z[j])
+        values[k] = y_k = _generic_step(drift, t_k, delta, z_k, tol, k)
+        residuals[k] = abs(y_k - drift.b(t_k, y_k) * delta - z_k)
+        start, window = k, _RESUME_WINDOW
+    return values, residuals
+
+
+def _generic_step(drift: DriftSpec, t_next: float, delta: float, z: float,
+                  tol: float, k: int) -> float:
+    """Step k by the bracketed solver, for a closed form that fell short."""
+    eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
+    try:
+        return implicit_step_generic(eq, tol=tol)
+    except (StepError, DomainError) as exc:
+        raise StepError(f"step {k} (t={t_next:.6g}, rhs={z:.6g}): {exc}") from exc
+
+
+def _strictly_inside(drift: DriftSpec, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mask of the points with phi(t) < y (< psi(t) two-sided); False on NaN."""
+    inside = y > np.asarray(drift.bounds.phi(t), float)
+    if drift.kind == TWO_SIDED:
+        inside &= y < np.asarray(drift.bounds.psi(t), float)
+    return inside
 
 
 def check_sandwich(path: SimulatedPath, config: SandwichConfig,
@@ -331,12 +447,7 @@ def check_sandwich(path: SimulatedPath, config: SandwichConfig,
     from .model import theoretical_envelope
 
     tt = path.grid.points
-    drift = config.drift
-    lower = np.asarray(drift.bounds.phi(tt), float)
-    strict = path.values > lower
-    if drift.kind == TWO_SIDED:
-        upper = np.asarray(drift.bounds.psi(tt), float)
-        strict &= path.values < upper
+    strict = _strictly_inside(config.drift, tt, path.values)
     violations = tuple(int(i) for i in np.nonzero(~strict)[0])
 
     envelope_ok = None

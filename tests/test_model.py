@@ -78,6 +78,26 @@ class TestEvalDrift:
             1.0 / (y - lo) ** 4 - 1.0 / (lo + 2.0 - y) ** 4, rel=1e-12)
 
 
+    def test_array_b_matches_scalar(self):
+        tt = np.linspace(0.0, 1.0, 9)
+        for d, ys in ((cir_drift(1.0, 1.0, 1.0, 0.7, 1.0), np.linspace(0.1, 3.0, 9)),
+                      (symmetric_tsb(), np.linspace(-0.9, 0.9, 9)),
+                      (moving_barrier_drift(), np.sin(10.0 * tt) + 0.3)):
+            got = d.b(tt, ys)
+            assert got.shape == ys.shape
+            np.testing.assert_allclose(
+                got, [d.b(t, y) for t, y in zip(tt, ys)], rtol=1e-14)
+
+    def test_array_b_raises_if_any_point_outside(self):
+        tt = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(DomainError):
+            cir_drift(1.0, 1.0, 1.0, 0.7, 1.0).b(tt, np.array([1.0, 0.5, 0.0, 2.0]))
+        with pytest.raises(DomainError):
+            symmetric_tsb().b(tt, np.array([0.0, 0.5, 1.0, -0.5]))
+        with pytest.raises(DomainError):
+            moving_barrier_drift().b(tt, np.sin(10.0 * tt) + np.array([0.5, 1.0, 2.0, 1.5]))
+
+
 class TestValidateAssumptions:
     def test_cir_reference_parameters_all_pass(self):
         d = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)

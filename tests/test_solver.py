@@ -1,7 +1,9 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandwiched_sde.model import (
     BoundFunctions,
@@ -14,6 +16,7 @@ from sandwiched_sde.model import (
     tsb_drift,
 )
 from sandwiched_sde.noise import NoisePath, TimeGrid, brownian, fbm, generate_noise
+from sandwiched_sde import solver
 from sandwiched_sde.solver import (
     ImplicitStepEquation,
     SimulatedPath,
@@ -44,6 +47,16 @@ def bisection_oracle(drift, t_next, delta, rhs, lo, hi, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def exact_cir_step(y_prev, delta, dz, kappa1, kappa2):
+    """The positive CIR step root in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z = Decimal(y_prev) + Decimal(dz)
+        scale = 1 + Decimal(kappa2) * Decimal(delta)
+        c = 4 * Decimal(kappa1) * Decimal(delta) * scale
+        return float((z + (z * z + c).sqrt()) / (2 * scale))
+
+
 def symmetric_tsb(kappa=1.0, kappa3=0.0, lam=0.7):
     bounds = BoundFunctions(constant_bound(-1.0), constant_bound(1.0),
                             lam, 0.0, 1.0)
@@ -63,6 +76,14 @@ class TestImplicitStepCir:
     def test_positive_under_extreme_shock(self):
         y = implicit_step_cir(1.0, 0.1, -100.0, 1.0, 1.0)
         assert y > 0.0
+
+    @pytest.mark.parametrize("dz", [-1e5, -1e8])
+    def test_large_negative_shock_has_no_cancellation(self, dz):
+        # The textbook root (z + sqrt(z^2 + c)) / (2s) cancels for z << 0:
+        # it gave 1.004e-9 at dz = -1e5 and exactly 0.0 at dz = -1e8.
+        got = implicit_step_cir(0.0, 1e-4, dz, 1.0, 1.0)
+        assert got == pytest.approx(exact_cir_step(0.0, 1e-4, dz, 1.0, 1.0),
+                                    rel=1e-14, abs=0.0)
 
     def test_agrees_with_bisection_oracle(self):
         rng = np.random.default_rng(2024)
@@ -333,6 +354,196 @@ class TestSimulate:
         cfg = SandwichConfig(0.0, drift, 128)
         with pytest.raises(ValueError):
             simulate(cfg, zero_noise(cfg.grid), stepper="closed")
+
+
+def stepwise_reference(cfg, noise, tol=1e-12):
+    """simulate() rebuilt from the public one-step solvers.
+
+    Each step takes the closed form (the generic solver where the cubic
+    has no unique root inside the barriers) and is polished inline by the
+    generic solver whenever it misses the residual contract.
+    """
+    drift = cfg.drift
+    params = drift.param_dict
+    delta = cfg.mesh
+    tt = cfg.grid.points.tolist()
+    dz = np.diff(noise.values).tolist()
+    values = [float(cfg.y0)]
+    for k in range(cfg.grid_points):
+        y_prev, t_next = values[-1], tt[k + 1]
+        z = y_prev + dz[k]
+        eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
+        if drift.family == "cir":
+            y = implicit_step_cir(y_prev, delta, dz[k],
+                                  params["kappa1"], params["kappa2"])
+        else:
+            try:
+                y = implicit_step_tsb(eq)
+            except StepError:
+                y = implicit_step_generic(eq, tol=tol)
+        if abs(y - drift.b(t_next, y) * delta - z) > tol * max(1.0, abs(z)):
+            y = implicit_step_generic(eq, tol=tol)
+        values.append(y)
+    return np.array(values)
+
+
+def sin_barrier_tsb():
+    bounds = BoundFunctions(sin_bound(0.0, 1.0, 10.0),
+                            sin_bound(2.0, 1.0, 10.0), 0.69, 20.0, 1.0)
+    return power_sandwich_drift(1.0, 1.0, 1.0, bounds)
+
+
+def one_step_noise(cfg, dz):
+    return NoisePath(grid=cfg.grid, values=np.array([0.0, dz]), seed=0,
+                     spec=brownian())
+
+
+class TestClosedFormLoop:
+    def test_cir_matches_stepwise_reference(self):
+        cfg = SandwichConfig(0.2, cir_drift(1.0, 1.0, 1.0, 0.7, 1.0), 1024)
+        for seed in range(3):
+            noise = generate_noise(fbm(0.7), cfg.grid, seed)
+            path = simulate(cfg, noise)
+            assert path.stepper == "closed_form_cir"
+            assert np.array_equal(path.values, stepwise_reference(cfg, noise))
+
+    def test_tsb_matches_stepwise_reference(self):
+        cfg = SandwichConfig(0.3, symmetric_tsb(kappa3=0.25), 1024)
+        for seed in range(3):
+            noise = generate_noise(fbm(0.7), cfg.grid, seed)
+            path = simulate(cfg, noise)
+            assert path.stepper == "cardano_tsb"
+            assert np.array_equal(path.values, stepwise_reference(cfg, noise))
+
+    def test_sin_barrier_tsb_matches_stepwise_reference(self):
+        cfg = SandwichConfig(1.0, sin_barrier_tsb(), 1024)
+        for seed in range(3):
+            noise = generate_noise(fbm(0.7), cfg.grid, seed)
+            path = simulate(cfg, noise)
+            assert path.stepper == "cardano_tsb"
+            # The loop evaluates the barriers on the whole grid and the
+            # reference one time point at a time; np.sin need not round
+            # both the same way on every build.
+            np.testing.assert_allclose(path.values,
+                                       stepwise_reference(cfg, noise),
+                                       rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("drift, y0, tol, exact", [
+        (symmetric_tsb(), 0.0, 3e-16, True),
+        (sin_barrier_tsb(), 1.0, 1e-15, False),
+    ])
+    def test_polish_resumes_closed_form(self, monkeypatch, drift, y0, tol, exact):
+        # A tolerance at the round-off floor makes some closed-form steps
+        # miss the contract, so they are polished and the loop resumes.
+        polished = []
+        generic = solver.implicit_step_generic
+
+        def counting(eq, tol=solver.DEFAULT_TOL):
+            polished.append(eq.t_next)
+            return generic(eq, tol=tol)
+
+        monkeypatch.setattr(solver, "implicit_step_generic", counting)
+        cfg = SandwichConfig(y0, drift, 1024)
+        noise = generate_noise(fbm(0.7), cfg.grid, 3)
+        path = simulate(cfg, noise, tol=tol)
+        assert 0 < len(polished) < cfg.grid_points
+        ref = stepwise_reference(cfg, noise, tol=tol)
+        if exact:
+            assert np.array_equal(path.values, ref)
+        else:
+            np.testing.assert_allclose(path.values, ref, rtol=1e-13, atol=0.0)
+        z = path.values[:-1] + np.diff(noise.values)
+        assert np.all(path.residuals[1:] <= tol * np.maximum(1.0, np.abs(z)))
+        if exact:
+            tt = cfg.grid.points
+            for k in range(1, cfg.grid_points + 1):
+                y = path.values[k]
+                assert path.residuals[k] == abs(
+                    y - drift.b(tt[k], y) * cfg.mesh - z[k - 1])
+
+    def test_cardano_without_unique_root_falls_back_to_generic(self):
+        # Near phi = 0 the cubic's roots are lost to round-off of its
+        # 1e8-sized coefficients; the generic solver still finds the step.
+        bounds = BoundFunctions(constant_bound(0.0), constant_bound(1.0),
+                                0.7, 0.0, 0.25)
+        drift = tsb_drift(0.5, 0.5, 0.0, bounds)
+        cfg = SandwichConfig(0.5, drift, 1)
+        eq = ImplicitStepEquation(t_next=0.25, delta=0.25, rhs=0.5 - 1e8,
+                                  drift=drift)
+        with pytest.raises(StepError):
+            implicit_step_tsb(eq)
+        path = simulate(cfg, one_step_noise(cfg, -1e8))
+        assert path.stepper == "cardano_tsb"
+        assert path.values[1] == implicit_step_generic(eq)
+        assert 0.0 < path.values[1] < 1.0
+
+    def test_out_of_domain_value_names_first_bad_step(self):
+        # z = -1e300 overflows z*z, so the CIR root underflows to 0.0.
+        cfg = SandwichConfig(1.0, cir_drift(1.0, 1.0, 1.0, 0.7, 1.0), 16)
+        values = np.zeros(17)
+        values[5:] = -1e300
+        noise = NoisePath(grid=cfg.grid, values=values, seed=0, spec=brownian())
+        with pytest.raises(StepError, match=r"^step 5 "):
+            simulate(cfg, noise)
+
+    def test_unattainable_contract_raises_typed_error(self):
+        # At rhs = 1e6 the root lies 1.25e-7 below psi = 1, where one ulp
+        # of y moves the residual by far more than tol * |rhs|.
+        drift = tsb_drift(0.5, 0.5, 0.0, BoundFunctions(
+            constant_bound(-1.0), constant_bound(1.0), 0.7, 0.0, 0.25))
+        cfg = SandwichConfig(0.0, drift, 1)
+        with pytest.raises(StepError, match=r"^step 1 "):
+            simulate(cfg, one_step_noise(cfg, 1e6))
+
+
+_HORIZON = 0.25
+_MAGNITUDE = st.floats(1e-12, 1e12)
+_SIGNED = st.builds(lambda sign, m: sign * m, st.sampled_from((-1.0, 1.0)),
+                    _MAGNITUDE)
+# Near psi = 1 the spacing of doubles bounds the attainable residual: the
+# contract tol * |rhs| fails from rhs ~ 1e3 on (see the test above).
+_TSB_RHS = st.one_of(st.floats(-1e12, -1e-12), st.floats(1e-12, 1e2))
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+class TestStepProperties:
+    """One step of simulate() over right-hand sides of size 1e-12 to 1e12:
+    strictly inside, residual contract, monotone in the right-hand side."""
+
+    cir = cir_drift(1.0, 1.0, 1.0, 0.7, _HORIZON)
+    tsb = tsb_drift(0.5, 0.5, 0.0, BoundFunctions(
+        constant_bound(0.0), constant_bound(1.0), 0.7, 0.0, _HORIZON))
+
+    @staticmethod
+    def check(drift, y0, rhs_pair, tol=1e-12):
+        cfg = SandwichConfig(y0, drift, 1)
+        steps = []
+        for rhs in sorted(rhs_pair):
+            dz = rhs - y0
+            y = simulate(cfg, one_step_noise(cfg, dz), tol=tol).values[1]
+            steps.append((y0 + dz, y))
+        (z_lo, y_lo), (z_hi, y_hi) = steps
+        for z, y in steps:
+            assert y > 0.0
+            if drift.kind == "two-sided":
+                assert y < 1.0
+            resid = abs(y - drift.b(_HORIZON, y) * _HORIZON - z)
+            assert resid <= tol * max(1.0, abs(z))
+        # Monotone wherever the right-hand sides differ by more than the
+        # solver tolerance can blur.
+        if z_hi - z_lo > 1e-9 * max(1.0, abs(z_lo), abs(z_hi)):
+            assert y_lo <= y_hi
+
+    @_PROPERTY
+    @given(st.tuples(_SIGNED, _SIGNED))
+    def test_cir_step(self, rhs_pair):
+        self.check(self.cir, 1.0, rhs_pair)
+
+    @_PROPERTY
+    @given(st.tuples(_TSB_RHS, _TSB_RHS))
+    def test_tsb_step(self, rhs_pair):
+        self.check(self.tsb, 0.5, rhs_pair)
 
 
 class TestCheckSandwich:
