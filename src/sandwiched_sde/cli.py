@@ -43,11 +43,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv_lines(rows) -> list:
+    # One line per row of Python floats; repr round-trips every value.
+    return [",".join(map(repr, row)) for row in rows]
+
+
 def _csv(header: str, columns) -> str:
-    rows = np.column_stack(columns)
-    lines = [header]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
+    return "\n".join([header, *_csv_lines(zip(*cols, strict=True))]) + "\n"
 
 
 def _out_dir(args, run_config) -> str:
@@ -122,8 +125,8 @@ def cmd_noise(args) -> int:
                   _csv("t,z", (noise_path.grid.points, noise_path.values)))
     if args.cov:
         cov = covariance_matrix(rc.driver, rc.config.grid)
-        text = "\n".join(",".join(repr(float(v)) for v in row) for row in cov)
-        _atomic_write(os.path.join(out, f"cov_{seed}.csv"), text + "\n")
+        _atomic_write(os.path.join(out, f"cov_{seed}.csv"),
+                      "\n".join(_csv_lines(cov.tolist())) + "\n")
     print(f"wrote noise_{seed}.csv to {out}")
     return EXIT_OK
 

@@ -150,41 +150,76 @@ def fbm_covariance(s, t, hurst: float):
     return out if out.ndim else float(out)
 
 
-def _mbm_scale(a, b):
-    # Normalization making the variance at time 1 equal to 1 when a == b,
-    # so the constant-H case degenerates exactly to fBm.
-    num = np.sqrt(_gamma_fn(2 * a + 1) * _gamma_fn(2 * b + 1)
-                  * np.sin(np.pi * a) * np.sin(np.pi * b))
-    den = 2.0 * _gamma_fn(a + b + 1) * np.sin(np.pi * (a + b) / 2.0)
-    return num / den
+def _mbm_root(h):
+    # sqrt(Gamma(2h+1) sin(pi h)): the factor of the mBm normalisation that
+    # depends on one index only.
+    return np.sqrt(_gamma_fn(2.0 * h + 1.0) * np.sin(np.pi * h))
 
 
 def mbm_covariance(s, t, hs, ht):
-    """Covariance of harmonizable mBm between times s, t with Hurst hs, ht."""
+    """Covariance of harmonizable mBm between times s, t with Hurst hs, ht.
+
+    r(hs) r(ht) (|s|^H + |t|^H - |t-s|^H) / (2 Gamma(H+1) sin(pi H / 2)) with
+    H = hs + ht and r(h) = sqrt(Gamma(2h+1) sin(pi h)), normalised so that a
+    constant Hurst index gives fBm exactly. Pointwise and exactly symmetric
+    in (s, hs) <-> (t, ht); with row and column vectors r costs O(N).
+    """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
-    hsum = np.asarray(hs, dtype=float) + np.asarray(ht, dtype=float)
-    out = _mbm_scale(np.asarray(hs, dtype=float), np.asarray(ht, dtype=float)) * (
-        np.abs(s) ** hsum + np.abs(t) ** hsum - np.abs(t - s) ** hsum
-    )
+    hs = np.asarray(hs, dtype=float)
+    ht = np.asarray(ht, dtype=float)
+    hsum = hs + ht
+    out = np.abs(s) ** hsum + np.abs(t) ** hsum - np.abs(t - s) ** hsum
+    out *= _mbm_root(hs) * _mbm_root(ht)
+    out /= 2.0 * _gamma_fn(hsum + 1.0) * np.sin(0.5 * np.pi * hsum)
     return out if out.ndim else float(out)
 
 
+_BLOCK = 256
+
+
+def _blocks(n: int):
+    for i0 in range(0, n, _BLOCK):
+        yield i0, min(i0 + _BLOCK, n)
+
+
+def _symmetric_from_lower(n: int, kernel) -> np.ndarray:
+    """Fill an n x n matrix from ``kernel(rows, cols)`` on the lower triangle.
+
+    Rows are built in blocks against the columns up to the block's end and
+    each block is mirrored into the upper triangle, so the result is exactly
+    symmetric and no other n x n array is allocated.
+    """
+    out = np.empty((n, n))
+    for i0, i1 in _blocks(n):
+        out[i0:i1, :i1] = kernel(slice(i0, i1), slice(0, i1))
+        out[:i0, i0:i1] = out[i0:i1, :i0].T
+        diag = out[i0:i1, i0:i1]
+        np.copyto(diag, diag.T, where=~np.tri(i1 - i0, dtype=bool))
+    return out
+
+
 def covariance_matrix(spec: GaussianDriverSpec, grid: TimeGrid) -> np.ndarray:
-    """Covariance of (Z(t_1), ..., Z(t_n)); t_0 is excluded since Z(0) = 0."""
+    """Covariance of (Z(t_1), ..., Z(t_n)); t_0 is excluded since Z(0) = 0.
+
+    Always a fresh C-contiguous float64 array that the caller may overwrite.
+    """
     t = grid.points[1:]
     if spec.kind == "brownian":
         return np.minimum.outer(t, t)
     if spec.kind == "fbm":
-        return fbm_covariance(t[:, None], t[None, :], spec.hurst)
+        hurst = spec.hurst
+        return _symmetric_from_lower(len(t), lambda i, j: fbm_covariance(
+            t[i, None], t[None, j], hurst))
     if spec.kind == "mbm":
         h = np.asarray(spec.hurst_fn(t), dtype=float)
         if np.any(h <= 0.0) or np.any(h >= 1.0):
             raise ValueError("mbm Hurst function must take values in (0,1) on the grid")
-        cov = mbm_covariance(t[:, None], t[None, :], h[:, None], h[None, :])
-        return 0.5 * (cov + cov.T)  # exact symmetry despite rounding
+        return _symmetric_from_lower(len(t), lambda i, j: mbm_covariance(
+            t[i, None], t[None, j], h[i, None], h[None, j]))
     if spec.kind == "custom":
-        return np.asarray(spec.cov(t[:, None], t[None, :]), dtype=float)
+        # np.array copies, so the factor never writes into the kernel's data.
+        return np.array(spec.cov(t[:, None], t[None, :]), dtype=float, order="C")
     raise ValueError(f"unknown driver kind {spec.kind!r}")
 
 
@@ -196,22 +231,66 @@ _MAX_JITTER_DOUBLINGS = 8
 _factor_cache: dict = {}
 
 
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor.
+
+    Left-looking and blocked: each block column is updated with one GEMM
+    against the finished columns, its diagonal block is factored by
+    ``np.linalg.cholesky`` and the panel below is solved against it. Only
+    the lower triangle is read or written, so the strict upper triangle
+    still holds the input. Raises ``np.linalg.LinAlgError`` if a diagonal
+    block is not positive definite.
+    """
+    n = a.shape[0]
+    for j0, j1 in _blocks(n):
+        done = a[j0:j1, :j0]
+        d = np.linalg.cholesky(a[j0:j1, j0:j1] - done @ done.T)
+        np.copyto(a[j0:j1, j0:j1], d, where=np.tri(j1 - j0, dtype=bool))
+        if j1 < n:
+            panel = a[j1:, j0:j1]
+            panel -= a[j1:, :j0] @ done.T
+            panel[...] = np.linalg.solve(d, panel.T).T
+
+
+def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
+    # Undo a failed factorization from the untouched strict upper triangle.
+    for i0, i1 in _blocks(a.shape[0]):
+        a[i0:i1, :i0] = a[:i0, i0:i1].T
+        blk = a[i0:i1, i0:i1]
+        np.copyto(blk, blk.T, where=np.tri(i1 - i0, k=-1, dtype=bool))
+    np.fill_diagonal(a, diag)
+
+
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    jitter = 1e-12 * np.trace(cov) / cov.shape[0]
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    for _ in range(_MAX_JITTER_DOUBLINGS):
+    """Factor ``cov`` in place, adding diagonal jitter if it is not PD.
+
+    Returns ``cov`` itself, now lower triangular. Jitter starts at 1e-12
+    times the mean variance and doubles up to ``_MAX_JITTER_DOUBLINGS``
+    times; the amount used is reported with a warning. On failure ``cov``
+    is restored and ``CholeskyError`` is raised.
+    """
+    diag = np.diagonal(cov).copy()
+    jitter = 1e-12 * float(np.mean(diag))
+    for amount in [0.0] + [jitter * 2.0 ** k for k in range(_MAX_JITTER_DOUBLINGS)]:
+        np.fill_diagonal(cov, diag + amount)
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+            _cholesky_in_place(cov)
+            break
         except np.linalg.LinAlgError:
-            jitter *= 2.0
-    smallest = float(np.min(np.linalg.eigvalsh(cov)))
-    raise CholeskyError(
-        f"covariance matrix is not positive definite after jitter; "
-        f"smallest eigenvalue estimate {smallest:.3e}"
-    )
+            _restore_lower(cov, diag)
+    else:
+        smallest = float(np.min(np.linalg.eigvalsh(cov)))
+        raise CholeskyError(
+            f"covariance matrix is not positive definite after jitter; "
+            f"smallest eigenvalue estimate {smallest:.3e}"
+        )
+    if amount:
+        warnings.warn(f"covariance matrix is not positive definite; added "
+                      f"jitter {amount!r} to its diagonal")
+    for i0, i1 in _blocks(cov.shape[0]):
+        cov[i0:i1, i1:] = 0.0
+        np.copyto(cov[i0:i1, i0:i1], 0.0, where=~np.tri(i1 - i0, dtype=bool))
+    return cov
 
 
 def _brownian_like_factor(grid: TimeGrid) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sandwiched_sde.cli import main
+from sandwiched_sde.cli import _csv, _csv_lines, main
 from sandwiched_sde.config import ConfigError, load_config, parse_config
 
 
@@ -221,6 +221,34 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
         assert not (out / "manifest.json").exists()
         assert "mesh" in capsys.readouterr().err
+
+
+def old_csv(header, columns):
+    # The per-value formatter the CSV bytes were first written with.
+    rows = np.column_stack(columns)
+    lines = [header]
+    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvBytes:
+    AWKWARD = [5e-324, -0.0, 0.1, 1e300, 3.0, 2.0 ** 53, -1e16, 1e-7,
+               123456789.0, float("nan"), float("inf"), 1.0 / 3.0]
+
+    def test_columns_match_old_formatter(self):
+        t = np.linspace(0.0, 1.0, len(self.AWKWARD))
+        ints = list(range(len(self.AWKWARD)))
+        for cols in ((t, self.AWKWARD), (ints, self.AWKWARD[::-1], t)):
+            assert _csv("a,b", cols) == old_csv("a,b", cols)
+
+    def test_matrix_rows_match_old_formatter(self):
+        m = np.array(self.AWKWARD).reshape(3, 4)
+        old = "\n".join(",".join(repr(float(v)) for v in row) for row in m)
+        assert "\n".join(_csv_lines(m.tolist())) == old
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError):
+            _csv("a,b", ([1.0, 2.0], [1.0]))
 
 
 class TestNoiseCommand:

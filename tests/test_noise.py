@@ -1,7 +1,17 @@
+import os
+import re
+import subprocess
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import sandwiched_sde
+from sandwiched_sde import noise as noise_module
 from sandwiched_sde.noise import (
+    CholeskyError,
     GaussianDriverSpec,
     NoisePath,
     TimeGrid,
@@ -300,3 +310,143 @@ class TestHolderExponentDefaults:
             spec.holder_exponent()
         assert custom(lambda s, t: np.minimum(s, t),
                       0.49).holder_exponent() == 0.49
+
+
+def stored_kernel(matrix):
+    """A custom kernel that hands back the same stored array on every call."""
+    return custom(lambda s, t: matrix, 0.49)
+
+
+def brownian_matrix(n):
+    t = TimeGrid(1.0, n).points[1:]
+    return np.minimum.outer(t, t)
+
+
+def factor_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def cold_factor(spec, grid):
+    """Build the factor with the cache bypassed, and leave nothing cached."""
+    key = (spec.cache_key, grid.horizon, grid.n)
+    noise_module._factor_cache.pop(key, None)
+    try:
+        return noise_module._factor_for(spec, grid)
+    finally:
+        noise_module._factor_cache.pop(key, None)
+
+
+class TestCovarianceBuffer:
+    @pytest.mark.parametrize("spec", [
+        brownian(), fbm(0.3), mbm_sin(0.5, 0.2, 2 * np.pi),
+        custom(lambda s, t: np.asfortranarray(np.minimum(s, t)), 0.49)])
+    def test_fresh_c_contiguous_float64(self, spec):
+        cov = covariance_matrix(spec, TimeGrid(1.0, 20))
+        assert cov.dtype == np.float64
+        assert cov.flags.c_contiguous and cov.flags.owndata
+
+    def test_custom_kernel_array_not_written_into(self):
+        stored = brownian_matrix(40)
+        before = stored.copy()
+        spec = stored_kernel(stored)
+        assert not np.shares_memory(covariance_matrix(spec, TimeGrid(1.0, 40)),
+                                    stored)
+        sample_path(spec, TimeGrid(1.0, 40), 3)
+        assert np.array_equal(stored, before)
+
+    def test_triangle_build_is_the_pointwise_formula(self):
+        # 300 points: one full row block of 256 and a partial one.
+        grid = TimeGrid(1.0, 300)
+        t = grid.points[1:]
+        spec = mbm_sin(0.5, 0.2, 2 * np.pi)
+        h = spec.hurst_fn(t)
+        full = mbm_covariance(t[:, None], t[None, :], h[:, None], h[None, :])
+        assert np.array_equal(covariance_matrix(spec, grid), full)
+        assert np.array_equal(covariance_matrix(fbm(0.3), grid),
+                              fbm_covariance(t[:, None], t[None, :], 0.3))
+
+
+class TestBlockedCholesky:
+    @pytest.mark.parametrize("spec,n", [
+        (mbm_sin(0.5, 0.2, 2 * np.pi), 1024), (fbm(0.3), 600)])
+    def test_matches_numpy_cholesky(self, spec, n):
+        cov = covariance_matrix(spec, TimeGrid(1.0, n))
+        ref = np.linalg.cholesky(cov)
+        factor = noise_module._cholesky_with_jitter(cov.copy())
+        # Measured 8.0e-13 (mBm, N=1024) and 3.8e-14 (fBm, N=600).
+        assert factor_gap(factor, ref) <= 1e-12
+        assert np.linalg.norm(factor @ factor.T - cov) <= (
+            1e-14 * np.linalg.norm(cov))
+        assert np.array_equal(np.triu(factor, 1), np.zeros((n, n)))
+
+    @pytest.mark.parametrize("n", [1, 100, 256, 300, 513])
+    def test_block_edges(self, n):
+        # Blocks of 256: below one block, exactly one, and ragged last blocks.
+        cov = covariance_matrix(fbm(0.3), TimeGrid(1.0, n))
+        a = cov.copy()
+        noise_module._cholesky_in_place(a)
+        assert factor_gap(np.tril(a), np.linalg.cholesky(cov)) <= 1e-13
+        upper = np.triu_indices(n, 1)
+        assert np.array_equal(a[upper], cov[upper])
+
+    def test_cold_factor_memory_bound(self):
+        n = 2048
+        tracemalloc.start()
+        try:
+            cold_factor(mbm_sin(0.5, 0.2, 2 * np.pi), TimeGrid(1.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One n x n buffer plus O(n * block) temporaries; measured 1.63.
+        assert peak <= 2.0 * 8 * n * n
+
+    def test_jitter_is_reported(self):
+        n = 300
+        spec = custom(lambda s, t: np.ones(np.broadcast_shapes(s.shape, t.shape)),
+                      0.49)
+        grid = TimeGrid(1.0, n)
+        with pytest.warns(UserWarning, match="jitter") as record:
+            factor = noise_module._factor_for(spec, grid)
+        jitter = float(re.search(r"jitter (\S+)", str(record[0].message))[1])
+        assert jitter > 0.0
+        cov = covariance_matrix(spec, grid)
+        gram = factor @ factor.T
+        assert np.max(np.abs(gram - (cov + jitter * np.eye(n)))) <= 1e-12
+        assert np.allclose(np.diag(gram) - np.diag(cov), jitter, rtol=0.05,
+                           atol=0.0)
+
+    def test_no_warning_without_jitter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cold_factor(mbm_sin(0.5, 0.2, 2 * np.pi), TimeGrid(1.0, 256))
+
+    def test_not_positive_definite_restores_input(self):
+        # The last pivot of the Brownian factor is delta; taking 2 delta off
+        # the last variance makes it negative, so the factor fails in the
+        # second row block, after the first has been overwritten.
+        n = 300
+        stored = brownian_matrix(n)
+        stored[-1, -1] -= 2.0 / n
+        before = stored.copy()
+        smallest = np.min(np.linalg.eigvalsh(before))
+        assert smallest < 0.0
+        with pytest.raises(CholeskyError, match=f"{smallest:.3e}"):
+            sample_path(stored_kernel(stored), TimeGrid(1.0, n), 0)
+        assert np.array_equal(stored, before)
+        work = before.copy()
+        with pytest.raises(CholeskyError):
+            noise_module._cholesky_with_jitter(work)
+        assert np.array_equal(work, before)
+
+
+def test_import_leaves_scipy_linalg_out():
+    # scipy.linalg costs every process several MB of RSS.
+    src = os.path.dirname(os.path.dirname(sandwiched_sde.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, sandwiched_sde, sandwiched_sde.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
