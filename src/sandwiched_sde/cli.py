@@ -21,7 +21,7 @@ from . import __version__
 from .analysis import ConvergenceStudySpec, run_convergence_study
 from .config import ConfigError, load_config
 from .model import max_mesh, mesh_terms, validate_assumptions
-from .noise import covariance_matrix, generate_noise
+from .noise import covariance_matrix, generate_noise, sample_path
 from .solver import StepError, check_sandwich, simulate
 
 EXIT_OK = 0
@@ -119,14 +119,18 @@ def cmd_noise(args) -> int:
     rc = load_config(args.config)
     seed = args.seed if args.seed is not None else rc.seed
     out = _out_dir(args, rc)
-    noise_path = generate_noise(rc.driver, rc.config.grid, seed,
-                                method="cholesky" if args.cov else "auto")
+    grid = rc.config.grid
+    if args.cov:
+        # Format the dump first: the factor behind the sample overwrites cov.
+        cov = covariance_matrix(rc.driver, grid)
+        cov_text = "\n".join(_csv_lines(cov.tolist())) + "\n"
+        noise_path = sample_path(rc.driver, grid, seed, cov=cov)
+    else:
+        noise_path = generate_noise(rc.driver, grid, seed)
     _atomic_write(os.path.join(out, f"noise_{seed}.csv"),
                   _csv("t,z", (noise_path.grid.points, noise_path.values)))
     if args.cov:
-        cov = covariance_matrix(rc.driver, rc.config.grid)
-        _atomic_write(os.path.join(out, f"cov_{seed}.csv"),
-                      "\n".join(_csv_lines(cov.tolist())) + "\n")
+        _atomic_write(os.path.join(out, f"cov_{seed}.csv"), cov_text)
     print(f"wrote noise_{seed}.csv to {out}")
     return EXIT_OK
 

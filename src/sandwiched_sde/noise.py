@@ -16,6 +16,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma as _gamma_fn
 
 __all__ = [
@@ -299,7 +300,8 @@ def _brownian_like_factor(grid: TimeGrid) -> np.ndarray:
     return np.tril(np.full((n, n), np.sqrt(grid.delta)))
 
 
-def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid) -> np.ndarray:
+def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid,
+                cov: Optional[np.ndarray] = None) -> np.ndarray:
     key = None
     if spec.cache_key is not None:
         key = (spec.cache_key, grid.horizon, grid.n)
@@ -309,7 +311,9 @@ def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid) -> np.ndarray:
     if spec.kind == "brownian" or (spec.kind == "fbm" and spec.hurst == 0.5):
         factor = _brownian_like_factor(grid)
     else:
-        factor = _cholesky_with_jitter(covariance_matrix(spec, grid))
+        if cov is None:
+            cov = covariance_matrix(spec, grid)
+        factor = _cholesky_with_jitter(cov)
     if key is not None:
         _factor_cache[key] = factor
     return factor
@@ -319,13 +323,17 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int) -> NoisePath:
+def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
+                cov: Optional[np.ndarray] = None) -> NoisePath:
     """Sample the driver on the grid via the covariance Cholesky factor.
 
     The sample has the exact joint Gaussian law of the driver restricted
-    to the grid and is deterministic given (spec, grid, seed).
+    to the grid and is deterministic given (spec, grid, seed). ``cov``
+    may pass in ``covariance_matrix(spec, grid)`` when the caller has
+    already built it; it is then factored in place, so its contents are
+    lost.
     """
-    factor = _factor_for(spec, grid)
+    factor = _factor_for(spec, grid, cov)
     xi = _rng(seed).standard_normal(grid.n)
     values = np.empty(grid.n + 1)
     values[0] = 0.0
@@ -386,18 +394,54 @@ def generate_noise(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
     return sample_path(spec, grid, seed)
 
 
+# Byte budget of the row block in the all-pairs Holder scan (at least one row).
+_HOLDER_BLOCK_BYTES = 128 * 1024
+
+
+def _widest_all_gaps(z: np.ndarray) -> np.ndarray:
+    """max_i |z[i+g] - z[i]| for every gap g = 1..n, in row blocks.
+
+    Row i of ``ahead`` holds z[i+1], z[i+2], ... padded with NaN past the
+    end, so one block of rows gives every gap its valid pairs and
+    ``fmax`` drops the padding. Each block is differenced in place in
+    one buffer of at most ``_HOLDER_BLOCK_BYTES``.
+    """
+    n = len(z) - 1
+    padded = np.full(2 * n, np.nan)
+    padded[:n + 1] = z
+    ahead = sliding_window_view(padded[1:], n)
+    rows = max(1, min(n, _HOLDER_BLOCK_BYTES // (8 * n)))
+    buf = np.empty(rows * n)
+    widest = np.zeros(n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        width = n - i0  # gaps past n - i0 leave the grid from every row
+        blk = buf[:(i1 - i0) * width].reshape(i1 - i0, width)
+        np.subtract(ahead[i0:i1, :width], z[i0:i1, None], out=blk)
+        np.abs(blk, out=blk)
+        np.fmax(widest[:width], np.fmax.reduce(blk, axis=0), out=widest[:width])
+    return widest
+
+
 def holder_constant(path: NoisePath, lam: float, lags: str = "auto") -> float:
     """Discrete Holder-constant estimate max |Z(t_n)-Z(t_k)| / (t_n-t_k)^lam.
 
-    ``lags="all"`` scans every grid pair; ``"dyadic"`` restricts to
-    power-of-two gaps (a lower bound for the full-pair maximum) and is
-    the automatic choice above 4096 steps, flagged with a warning.
+    ``lags="all"`` scans every grid pair in one array pass over row
+    blocks; ``"dyadic"`` restricts to power-of-two gaps (a lower bound
+    for the full-pair maximum) and is the automatic choice above 4096
+    steps, flagged with a warning. A non-finite path value raises
+    ``ValueError`` naming its index.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("Holder exponent must lie in (0,1)")
     z = path.values
     n = path.grid.n
     delta = path.grid.delta
+    finite = np.isfinite(z)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"holder_constant: path value {z[k]!r} at index {k} "
+                         f"is not finite")
     if lags == "auto":
         lags = "all" if n <= 4096 else "dyadic"
         if lags == "dyadic":
@@ -408,16 +452,14 @@ def holder_constant(path: NoisePath, lam: float, lags: str = "auto") -> float:
             )
     if lags == "all":
         gaps = range(1, n + 1)
+        widest = _widest_all_gaps(z)
     elif lags == "dyadic":
         gaps = sorted({min(2 ** j, n) for j in range(n.bit_length())})
+        widest = np.array([np.max(np.abs(z[gap:] - z[:-gap])) for gap in gaps])
     else:
         raise ValueError(f"unknown lag mode {lags!r}")
-    best = 0.0
-    for gap in gaps:
-        step = np.max(np.abs(z[gap:] - z[:-gap])) / (gap * delta) ** lam
-        if step > best:
-            best = float(step)
-    return best
+    steps = widest / np.array([(gap * delta) ** lam for gap in gaps])
+    return float(np.fmax.reduce(steps, initial=0.0))
 
 
 def restrict_to_coarse(path: NoisePath, factor: int) -> NoisePath:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sandwiched_sde import cli, noise
 from sandwiched_sde.cli import _csv, _csv_lines, main
 from sandwiched_sde.config import ConfigError, load_config, parse_config
 
@@ -274,6 +275,35 @@ class TestNoiseCommand:
         a = np.loadtxt(out_f / "cov_11.csv", delimiter=",")
         b = np.loadtxt(out_m / "cov_11.csv", delimiter=",")
         assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_covariance_built_once(self, tmp_path, monkeypatch):
+        data = cir_config_dict(N=64)
+        data["noise"] = {"kind": "mbm", "H": {"a": 0.5, "b": 0.2,
+                                              "c": 2 * np.pi}}
+        cfg = write_config(tmp_path, data)
+        build = noise.covariance_matrix
+        calls = []
+
+        def counting(spec, grid):
+            calls.append(grid.n)
+            return build(spec, grid)
+
+        monkeypatch.setattr(noise, "_factor_cache", {})
+        monkeypatch.setattr(noise, "covariance_matrix", counting)
+        monkeypatch.setattr(cli, "covariance_matrix", counting)
+        out = tmp_path / "out"
+        assert main(["noise", "--config", cfg, "--out", str(out), "--cov"]) == 0
+        assert calls == [64]
+        # Same bytes as a separate cold Cholesky sample and covariance dump.
+        monkeypatch.setattr(noise, "_factor_cache", {})
+        rc = load_config(cfg)
+        path = noise.generate_noise(rc.driver, rc.config.grid, 11,
+                                    method="cholesky")
+        assert (out / "noise_11.csv").read_text() == _csv(
+            "t,z", (path.grid.points, path.values))
+        cov = build(rc.driver, rc.config.grid)
+        assert (out / "cov_11.csv").read_text() == "\n".join(
+            _csv_lines(cov.tolist())) + "\n"
 
 
 class TestConvergenceCommand:

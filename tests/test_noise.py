@@ -4,9 +4,12 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sandwiched_sde
 from sandwiched_sde import noise as noise_module
@@ -39,6 +42,49 @@ def brute_force_holder(values, points, lam):
             best = max(best, abs(values[j] - values[i])
                        / (points[j] - points[i]) ** lam)
     return best
+
+
+def per_gap_holder(path, lam, gaps):
+    """The per-gap scan that ``holder_constant`` replaces: one call per gap."""
+    z = path.values
+    delta = path.grid.delta
+    best = 0.0
+    for gap in gaps:
+        step = np.max(np.abs(z[gap:] - z[:-gap])) / (gap * delta) ** lam
+        if step > best:
+            best = float(step)
+    return best
+
+
+def all_gaps(n):
+    return range(1, n + 1)
+
+
+def dyadic_gaps(n):
+    return sorted({min(2 ** j, n) for j in range(n.bit_length())})
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def holder_paths(draw):
+    """Random walks, the constant path and values up to +-1e300."""
+    n = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(["walk", "constant", "extreme"]))
+    if kind == "walk":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        scale = draw(st.sampled_from([1e-12, 1.0, 1e12]))
+        tail = np.cumsum(scale * rng.standard_normal(n))
+    elif kind == "constant":
+        tail = np.zeros(n)
+    else:
+        tail = draw(arrays(np.float64, n, elements=st.sampled_from(
+            [1e300, -1e300, 0.0]) | st.floats(-1e300, 1e300)))
+    horizon = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    return NoisePath(grid=TimeGrid(horizon, n), values=np.concatenate(
+        [[0.0], tail]), seed=0, spec=brownian())
 
 
 class TestTimeGrid:
@@ -257,6 +303,61 @@ class TestHolderConstant:
         path = NoisePath(grid=grid, values=np.zeros(5), seed=0, spec=brownian())
         with pytest.raises(ValueError):
             holder_constant(path, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 1000, 4096])
+    def test_equals_per_gap_loop(self, n):
+        for hurst in (0.3, 0.7):
+            path = sample_path_fast_fbm(hurst, TimeGrid(1.0, n), 5)
+            for lam in (0.29, 0.69):
+                assert holder_constant(path, lam, lags="all") \
+                    == per_gap_holder(path, lam, all_gaps(n))
+                assert holder_constant(path, lam, lags="dyadic") \
+                    == per_gap_holder(path, lam, dyadic_gaps(n))
+
+    @_PROPERTY
+    @given(holder_paths(),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.sampled_from([8, 8 * 1000, noise_module._HOLDER_BLOCK_BYTES]))
+    def test_equals_per_gap_loop_property(self, path, lam, block_bytes):
+        # Block budgets of one row, a few rows and the default.
+        n = path.grid.n
+        with mock.patch.object(noise_module, "_HOLDER_BLOCK_BYTES", block_bytes):
+            assert holder_constant(path, lam, lags="all") \
+                == per_gap_holder(path, lam, all_gaps(n))
+        assert holder_constant(path, lam, lags="dyadic") \
+            == per_gap_holder(path, lam, dyadic_gaps(n))
+
+    def test_auto_dyadic_above_4096_equals_loop(self):
+        n = 5000
+        path = sample_path_fast_fbm(0.3, TimeGrid(1.0, n), 9)
+        with pytest.warns(UserWarning, match="dyadic"):
+            estimate = holder_constant(path, 0.29)
+        assert estimate == per_gap_holder(path, 0.29, dyadic_gaps(n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lags", ["all", "dyadic"])
+    def test_rejects_non_finite_values(self, bad, lags):
+        values = sample_path_fast_fbm(0.7, TimeGrid(1.0, 64), 4).values
+        values[37] = bad
+        values[50] = bad
+        path = NoisePath(grid=TimeGrid(1.0, 64), values=values, seed=0,
+                         spec=fbm(0.7))
+        with pytest.raises(ValueError, match="index 37 "):
+            holder_constant(path, 0.69, lags=lags)
+
+    def test_all_pairs_memory_bound(self):
+        n = 4096
+        path = sample_path_fast_fbm(0.7, TimeGrid(1.0, n), 3)
+        tracemalloc.start()
+        try:
+            holder_constant(path, 0.69, lags="all")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One row block, numpy's iterator buffers (at most 8192 elements per
+        # operand) and a few n-vectors; measured 0.37 MB. The pair triangle
+        # would be 8 n^2 / 2 = 67 MB.
+        assert peak <= 2 * noise_module._HOLDER_BLOCK_BYTES + 64 * n
 
 
 class TestRestrictToCoarse:
