@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,13 +30,15 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _atomic_write(path: str, text: str) -> None:
+@contextmanager
+def _atomic_file(path: str):
+    """A text file written under a temporary name and renamed on success."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,14 +46,34 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
 def _csv_lines(rows) -> list:
     # One line per row of Python floats; repr round-trips every value.
     return [",".join(map(repr, row)) for row in rows]
 
 
+def _column(values):
+    """The CSV text of each value of one column, as an iterator."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _csv_text(header: str, columns) -> str:
+    # columns: iterables of formatted values (see _column); a list of them
+    # can be shared by several files.
+    return "\n".join([header, *map(",".join, zip(*columns, strict=True))]) + "\n"
+
+
 def _csv(header: str, columns) -> str:
-    cols = [np.asarray(c, dtype=float).tolist() for c in columns]
-    return "\n".join([header, *_csv_lines(zip(*cols, strict=True))]) + "\n"
+    return _csv_text(header, [_column(c) for c in columns])
+
+
+# Values per block of the covariance dump: bounds the Python objects the
+# dump holds at once, whatever the grid size.
+_DUMP_BLOCK = 1 << 15
 
 
 def _out_dir(args, run_config) -> str:
@@ -77,6 +100,8 @@ def cmd_simulate(args) -> int:
     written = []
     manifest = {"version": __version__, "config": os.path.abspath(args.config),
                 "stepper": stepper, "tol": tol, "paths": []}
+    # Every path shares the grid, so its column is formatted once.
+    t_column = list(_column(rc.config.grid.points))
     try:
         for i in range(rc.paths):
             seed = seed0 + i
@@ -86,7 +111,7 @@ def cmd_simulate(args) -> int:
             elapsed = time.perf_counter() - start
             report = check_sandwich(path, rc.config)
             name = os.path.join(out, f"path_{seed}.csv")
-            _atomic_write(name, _csv("t,y", (path.grid.points, path.values)))
+            _atomic_write(name, _csv_text("t,y", (t_column, _column(path.values))))
             written.append(name)
             manifest["paths"].append({
                 "seed": seed, "file": os.path.basename(name),
@@ -120,17 +145,21 @@ def cmd_noise(args) -> int:
     seed = args.seed if args.seed is not None else rc.seed
     out = _out_dir(args, rc)
     grid = rc.config.grid
-    if args.cov:
-        # Format the dump first: the factor behind the sample overwrites cov.
-        cov = covariance_matrix(rc.driver, grid)
-        cov_text = "\n".join(_csv_lines(cov.tolist())) + "\n"
-        noise_path = sample_path(rc.driver, grid, seed, cov=cov)
+
+    def write_noise(noise_path):
+        _atomic_write(os.path.join(out, f"noise_{seed}.csv"),
+                      _csv("t,z", (noise_path.grid.points, noise_path.values)))
+
+    if not args.cov:
+        write_noise(generate_noise(rc.driver, grid, seed))
     else:
-        noise_path = generate_noise(rc.driver, grid, seed)
-    _atomic_write(os.path.join(out, f"noise_{seed}.csv"),
-                  _csv("t,z", (noise_path.grid.points, noise_path.values)))
-    if args.cov:
-        _atomic_write(os.path.join(out, f"cov_{seed}.csv"), cov_text)
+        cov = covariance_matrix(rc.driver, grid)
+        rows = max(1, _DUMP_BLOCK // grid.n)
+        with _atomic_file(os.path.join(out, f"cov_{seed}.csv")) as fh:
+            # Dump first: the factor behind the sample overwrites cov.
+            for i0 in range(0, grid.n, rows):
+                fh.write("\n".join(_csv_lines(cov[i0:i0 + rows].tolist())) + "\n")
+            write_noise(sample_path(rc.driver, grid, seed, cov=cov))
     print(f"wrote noise_{seed}.csv to {out}")
     return EXIT_OK
 

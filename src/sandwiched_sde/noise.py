@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -349,6 +349,21 @@ def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
     return np.fft.fft(circ).real
 
 
+@lru_cache(maxsize=8)
+def _fgn_sqrt_spectrum(n: int, hurst: float) -> Optional[np.ndarray]:
+    """Read-only sqrt of the circulant fGn spectrum for (n, hurst), or
+    None when the embedding has a negative eigenvalue.
+
+    Seed-independent, so it is kept for the last 8 pairs (16n bytes each).
+    """
+    eigs = _fgn_circulant_eigs(n, hurst)
+    if np.min(eigs) < 0.0:
+        return None
+    root = np.sqrt(eigs)
+    root.flags.writeable = False
+    return root
+
+
 def sample_path_fast_fbm(hurst: float, grid: TimeGrid, seed: int) -> NoisePath:
     """Sample fBm on the grid by circulant embedding of the fGn covariance.
 
@@ -358,8 +373,8 @@ def sample_path_fast_fbm(hurst: float, grid: TimeGrid, seed: int) -> NoisePath:
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"Hurst index must lie in (0,1), got {hurst}")
     n = grid.n
-    eigs = _fgn_circulant_eigs(n, hurst)
-    if np.min(eigs) < 0.0:
+    root = _fgn_sqrt_spectrum(n, hurst)
+    if root is None:
         warnings.warn(
             "circulant embedding has a negative eigenvalue; "
             "falling back to Cholesky sampling"
@@ -372,7 +387,7 @@ def sample_path_fast_fbm(hurst: float, grid: TimeGrid, seed: int) -> NoisePath:
     v = rng.standard_normal((n - 1, 2))
     z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
     z[n + 1:] = np.conj(z[1:n][::-1])
-    fgn = np.sqrt(2 * n) * np.fft.ifft(np.sqrt(eigs) * z).real[:n]
+    fgn = np.sqrt(2 * n) * np.fft.ifft(root * z).real[:n]
     increments = fgn * grid.delta ** hurst
     values = np.empty(n + 1)
     values[0] = 0.0

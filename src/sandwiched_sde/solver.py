@@ -83,15 +83,27 @@ def implicit_step_cir(y_prev: float, delta: float, dz: float,
     root; the discriminant is positive for any z when kappa1 > 0.
     """
     scale = 1.0 + kappa2 * delta
-    return _cir_root(y_prev + dz, 4.0 * kappa1 * delta * scale, 2.0 * scale)
+    return _cir_steps(y_prev, [dz], 4.0 * kappa1 * delta * scale, 2.0 * scale)[0]
 
 
-def _cir_root(z: float, c: float, two_scale: float) -> float:
-    # Positive root of (two_scale/2) y^2 - z y - c/(2 two_scale) = 0. For
-    # z < 0 the rationalized form avoids cancelling sqrt(z^2 + c) against -z.
-    if z < 0.0:
-        return c / (two_scale * (math.sqrt(z * z + c) - z))
-    return (z + math.sqrt(z * z + c)) / two_scale
+def _cir_steps(y: float, dz, c: float, two_scale: float) -> list:
+    """Closed-form CIR steps from y over the increments dz.
+
+    Each step is the positive root of (two_scale/2) y^2 - z y
+    - c/(2 two_scale) = 0 with z = y_prev + dz. For z < 0 the
+    rationalized form avoids cancelling sqrt(z^2 + c) against -z.
+    """
+    sqrt = math.sqrt
+    out = []
+    append = out.append
+    for d in dz:
+        z = y + d
+        if z < 0.0:
+            y = c / (two_scale * (sqrt(z * z + c) - z))
+        else:
+            y = (z + sqrt(z * z + c)) / two_scale
+        append(y)
+    return out
 
 
 def _tsb_scale(delta: float, kappa3: float) -> float:
@@ -101,55 +113,107 @@ def _tsb_scale(delta: float, kappa3: float) -> float:
     return scale
 
 
+def _tsb_affine(phi: np.ndarray, psi: np.ndarray, delta: float, kappa1: float,
+                kappa2: float, scale: float) -> tuple:
+    """The z-independent parts of the monic TSB cubic, as lists.
+
+    On barrier values phi, psi the cubic of the step with rhs z has
+    B2 = c2 - z/scale, B1 = c1 + e1*z and B0 = c0 - e0*z; returns
+    (c2, c1, e1, c0, e0).
+    """
+    total = phi + psi
+    prod = phi * psi
+    return ((-total).tolist(),
+            (prod - delta * (kappa1 + kappa2) / scale).tolist(),
+            (total / scale).tolist(),
+            (delta * (kappa1 * psi + kappa2 * phi) / scale).tolist(),
+            (prod / scale).tolist())
+
+
 def tsb_coefficients(y_prev: float, dz: float, delta: float,
                      kappa1: float, kappa2: float, kappa3: float,
                      phi_next: float, psi_next: float) -> tuple:
     """Monic cubic coefficients (B2, B1, B0) of the implicit TSB step."""
-    return _tsb_cubic(y_prev + dz, delta, _tsb_scale(delta, kappa3),
-                      kappa1, kappa2, phi_next, psi_next)
+    scale = _tsb_scale(delta, kappa3)
+    (c2,), (c1,), (e1,), (c0,), (e0,) = _tsb_affine(
+        np.array([phi_next]), np.array([psi_next]), delta, kappa1, kappa2, scale)
+    z = y_prev + dz
+    return c2 - z / scale, c1 + e1 * z, c0 - e0 * z
 
 
-def _tsb_cubic(z, delta, scale, kappa1, kappa2, phi, psi) -> tuple:
-    b0 = (-phi * psi * z + delta * (kappa1 * psi + kappa2 * phi)) / scale
-    b1 = phi * psi + ((phi + psi) * z - delta * (kappa1 + kappa2)) / scale
-    b2 = -phi - psi - z / scale
-    return b2, b1, b0
+_REAL_ROOT_TOL = 1e-9
+_HALF_SQRT3 = math.sqrt(3.0) / 2.0
+_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
+_FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 
-def _cardano(b2: float, b1: float, b0: float) -> tuple:
-    """Roots of y^3 + b2*y^2 + b1*y + b0 = 0 in real arithmetic.
+def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float,
+               no_root) -> list:
+    """Implicit TSB steps from y over the increments dz.
 
-    Returns (r0, r1, r2, h): the roots are r0, r1 + h*i and r2 - h*i,
-    with h = 0 when all three are real. The depressed cubic
-    u^3 + q1*u + q2 = 0 (y = u - b2/3) is solved in trigonometric form
-    when all roots are real and via real cube roots otherwise.
+    ``coefs`` are the lists of ``_tsb_affine`` and phi, psi the barrier
+    lists of the same steps. Each step solves the monic cubic of
+    z = y_prev + dz by Cardano in shift form (see ``cardano_solve``) and
+    keeps its real root strictly inside (phi, psi); a root counts as
+    real when its imaginary part is at most _REAL_ROOT_TOL * (1 + |real
+    part|). A step without exactly one such root takes
+    ``no_root(i, z)``, with i its index in dz.
     """
-    q1 = b1 - b2 * b2 / 3.0
-    q2 = 2.0 * b2 ** 3 / 27.0 - b2 * b1 / 3.0 + b0
-    disc = (q1 / 3.0) ** 3 + (q2 / 2.0) ** 2
-    shift = b2 / 3.0
-    if q1 == 0.0 and q2 == 0.0:
-        return -shift, -shift, -shift, 0.0
-    if disc < 0.0:
-        # Three distinct real roots; the trigonometric form avoids complex
-        # round-trip error.
-        rho = 2.0 * math.sqrt(-q1 / 3.0)
-        arg = 3.0 * q2 / (q1 * rho)
-        theta = math.acos(min(1.0, max(-1.0, arg)))
-        return (rho * math.cos(theta / 3.0) - shift,
-                rho * math.cos((theta - 2.0 * math.pi) / 3.0) - shift,
-                rho * math.cos((theta - 4.0 * math.pi) / 3.0) - shift,
-                0.0)
-    sqrt_disc = math.sqrt(disc)
-    alpha = _cbrt(-q2 / 2.0 + sqrt_disc)
-    # Pick the cube root beta with alpha*beta = -q1/3.
-    if alpha != 0.0:
-        beta = (-q1 / 3.0) / alpha
-    else:
-        beta = _cbrt(-q2 / 2.0 - sqrt_disc)
+    sqrt, acos, cos = math.sqrt, math.acos, math.cos
+    turn1, turn2 = _TWO_THIRDS_PI, _FOUR_THIRDS_PI
+    out = []
+    append = out.append
+    for d, a2, a1, f1, a0, f0, lo, hi in zip(dz, *coefs, phi, psi):
+        z = y + d
+        b2 = a2 - z / scale
+        b1 = a1 + f1 * z
+        shift = b2 / 3.0
+        p = b1 / 3.0 - shift * shift
+        q = shift * (shift * shift - 0.5 * b1) + 0.5 * (a0 - f0 * z)
+        disc = p * p * p + q * q
+        if disc < 0.0:
+            # Three distinct real roots: the trigonometric form.
+            m = sqrt(-p)
+            arg = q / (p * m)
+            if arg > 1.0:
+                arg = 1.0
+            elif arg < -1.0:
+                arg = -1.0
+            t3 = acos(arg) / 3.0
+            m += m
+            r0 = m * cos(t3) - shift
+            r1 = m * cos(t3 - turn1) - shift
+            r2 = m * cos(t3 - turn2) - shift
+            # r0 >= r1 >= r2, and the middle root is the one inside
+            # unless round-off decides otherwise.
+            if lo < r1 < hi:
+                if lo < r0 < hi or lo < r2 < hi:
+                    y = no_root(len(out), z)
+                else:
+                    y = r1
+            elif (lo < r0 < hi) != (lo < r2 < hi):
+                y = r0 if lo < r0 < hi else r2
+            else:
+                y = no_root(len(out), z)
+        else:
+            r0, pair, h = _one_real_root(p, q, disc, shift)
+            real_pair = abs(h) <= _REAL_ROOT_TOL * (1.0 + abs(pair))
+            if lo < r0 < hi and not (real_pair and lo < pair < hi):
+                y = r0
+            else:
+                y = no_root(len(out), z)
+        append(y)
+    return out
+
+
+def _one_real_root(p: float, q: float, disc: float, shift: float) -> tuple:
+    """Roots r0 and pair +- h*i of the cubic when disc = p^3 + q^2 >= 0."""
+    sd = math.sqrt(disc)
+    alpha = _cbrt(sd - q)
+    # Pick the cube root beta with alpha*beta = -p.
+    beta = -p / alpha if alpha != 0.0 else _cbrt(-q - sd)
     s = alpha + beta
-    pair = -s / 2.0 - shift
-    return s - shift, pair, pair, math.sqrt(3.0) / 2.0 * (alpha - beta)
+    return s - shift, -0.5 * s - shift, _HALF_SQRT3 * (alpha - beta)
 
 
 def _cbrt(x: float) -> float:
@@ -157,44 +221,47 @@ def _cbrt(x: float) -> float:
 
 
 def cardano_solve(b2: float, b1: float, b0: float) -> tuple:
-    """Three complex roots of y^3 + b2*y^2 + b1*y + b0 = 0 (Cardano)."""
-    r0, r1, r2, h = _cardano(b2, b1, b0)
-    return complex(r0), complex(r1, h), complex(r2, -h)
+    """Three complex roots of y^3 + b2*y^2 + b1*y + b0 = 0 (Cardano).
 
-
-_REAL_ROOT_TOL = 1e-9
-
-
-def _tsb_root(z, delta, scale, kappa1, kappa2, phi, psi) -> Optional[float]:
-    """The implicit TSB step: the cubic root strictly inside (phi, psi).
-
-    A root counts as real when its imaginary part is at most
-    _REAL_ROOT_TOL * (1 + |real part|). Returns None unless exactly one
-    real root lies strictly inside.
+    Real arithmetic in shift form, as in the TSB step: y = u - b2/3
+    gives the depressed cubic u^3 + 3p*u + 2q = 0, solved in
+    trigonometric form when its three roots are real and distinct and
+    by real cube roots otherwise.
     """
-    b2, b1, b0 = _tsb_cubic(z, delta, scale, kappa1, kappa2, phi, psi)
-    r0, r1, r2, h = _cardano(b2, b1, b0)
-    if abs(h) > _REAL_ROOT_TOL * (1.0 + abs(r1)):
-        return r0 if phi < r0 < psi else None
-    in0, in1, in2 = phi < r0 < psi, phi < r1 < psi, phi < r2 < psi
-    if in0 + in1 + in2 != 1:
-        return None
-    return r0 if in0 else r1 if in1 else r2
+    shift = b2 / 3.0
+    p = b1 / 3.0 - shift * shift
+    q = shift * (shift * shift - 0.5 * b1) + 0.5 * b0
+    disc = p * p * p + q * q
+    if disc < 0.0:
+        m = math.sqrt(-p)
+        t3 = math.acos(min(1.0, max(-1.0, q / (p * m)))) / 3.0
+        return tuple(complex(2.0 * m * math.cos(t3 - a) - shift)
+                     for a in (0.0, _TWO_THIRDS_PI, _FOUR_THIRDS_PI))
+    r0, pair, h = _one_real_root(p, q, disc, shift)
+    return complex(r0), complex(pair, h), complex(pair, -h)
 
 
 def implicit_step_tsb(eq: ImplicitStepEquation) -> float:
-    """Implicit TSB step: the unique cubic root inside (phi, psi)."""
+    """Implicit TSB step: the unique cubic root inside (phi, psi).
+
+    A one-step window of the kernel that ``simulate`` runs, so both
+    take the same floating-point path.
+    """
     drift = eq.drift
     params = drift.param_dict
     phi_next = float(drift.bounds.phi(eq.t_next))
     psi_next = float(drift.bounds.psi(eq.t_next))
-    y = _tsb_root(eq.rhs, eq.delta, _tsb_scale(eq.delta, params["kappa3"]),
-                  params["kappa1"], params["kappa2"], phi_next, psi_next)
-    if y is None:
+    scale = _tsb_scale(eq.delta, params["kappa3"])
+    coefs = _tsb_affine(np.array([phi_next]), np.array([psi_next]), eq.delta,
+                        params["kappa1"], params["kappa2"], scale)
+
+    def no_root(i, z):
         raise StepError(
             f"expected exactly one real root in ({phi_next}, {psi_next}) "
-            f"for rhs={eq.rhs}; mesh condition likely violated")
-    return y
+            f"for rhs={z}; mesh condition likely violated")
+
+    return _tsb_steps(eq.rhs, [0.0], coefs, [phi_next], [psi_next], scale,
+                      no_root)[0]
 
 
 _BRACKET_BUDGET = 64
@@ -343,19 +410,25 @@ def _generic_path(config: SandwichConfig, noise: NoisePath, tol: float) -> tuple
 
 
 _RESUME_WINDOW = 64
+# Steps per call of a closed-form kernel: bounds the per-step lists (the
+# TSB cubic's coefficients among them) whatever the path length.
+_STEP_WINDOW = 2048
 
 
 def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
                       tol: float) -> tuple:
     """The closed-form routes: a loop on Python floats, then array checks.
 
-    Barriers, increments and constants are evaluated once per path. The
-    residual contract is checked with one array call of ``drift.b`` per
-    window of steps, and the first window is the whole path. The first
-    step k of a window that misses the contract is polished by the
-    generic solver; the closed form then resumes at k + 1 over a short
-    window that doubles while no step fails. A TSB step whose cubic has
-    no unique root inside the barriers is solved by the generic solver.
+    Barriers and constants are evaluated once per path, and the TSB
+    cubic's z-independent coefficients with numpy on the grid, in
+    windows of at most ``_STEP_WINDOW`` steps that one fused kernel then
+    steps through. The residual contract is checked with one array call
+    of ``drift.b`` per window of steps, and the first window is the
+    whole path. The first step k of a window that misses the contract is
+    polished by the generic solver; the closed form then resumes at
+    k + 1 over a short window that doubles while no step fails. A TSB
+    step whose cubic has no unique root inside the barriers is solved by
+    the generic solver.
     """
     drift = config.drift
     params = drift.param_dict
@@ -363,7 +436,6 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
     n, delta = config.grid_points, config.mesh
     tt = config.grid.points
     dz = np.diff(noise.values)
-    dz_list = dz.tolist()
     values = np.empty(n + 1)
     residuals = np.zeros(n + 1)
     values[0] = config.y0
@@ -372,24 +444,31 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
         scale = 1.0 + kappa2 * delta
         c, two_scale = 4.0 * kappa1 * delta * scale, 2.0 * scale
 
-        def advance(start, stop):
-            y = float(values[start])
-            for k in range(start, stop):
-                y = _cir_root(y + dz_list[k], c, two_scale)
-                values[k + 1] = y
+        def steps(y, w0, w1):
+            return _cir_steps(y, dz[w0:w1].tolist(), c, two_scale)
     else:
         scale = _tsb_scale(delta, params["kappa3"])
-        phi = np.broadcast_to(drift.bounds.phi(tt), tt.shape).tolist()
-        psi = np.broadcast_to(drift.bounds.psi(tt), tt.shape).tolist()
+        phi = np.broadcast_to(drift.bounds.phi(tt), tt.shape)
+        psi = np.broadcast_to(drift.bounds.psi(tt), tt.shape)
 
-        def advance(start, stop):
-            y = float(values[start])
-            for k in range(start, stop):
-                z = y + dz_list[k]
-                y = _tsb_root(z, delta, scale, kappa1, kappa2, phi[k + 1], psi[k + 1])
-                if y is None:
-                    y = _generic_step(drift, float(tt[k + 1]), delta, z, tol, k + 1)
-                values[k + 1] = y
+        def steps(y, w0, w1):
+            lo, hi = phi[w0 + 1:w1 + 1], psi[w0 + 1:w1 + 1]
+
+            def generic(i, z):
+                k = w0 + 1 + i
+                return _generic_step(drift, float(tt[k]), delta, z, tol, k)
+
+            return _tsb_steps(y, dz[w0:w1].tolist(),
+                              _tsb_affine(lo, hi, delta, kappa1, kappa2, scale),
+                              lo.tolist(), hi.tolist(), scale, generic)
+
+    def advance(start, stop):
+        y = float(values[start])
+        for w0 in range(start, stop, _STEP_WINDOW):
+            w1 = min(w0 + _STEP_WINDOW, stop)
+            out = steps(y, w0, w1)
+            values[w0 + 1:w1 + 1] = out
+            y = out[-1]
 
     start, window = 0, n
     while start < n:

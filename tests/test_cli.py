@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sandwiched_sde import cli, noise
+from sandwiched_sde import cli, noise, solver
 from sandwiched_sde.cli import _csv, _csv_lines, main
 from sandwiched_sde.config import ConfigError, load_config, parse_config
 
@@ -224,6 +225,22 @@ class TestSimulateCommand:
         assert "mesh" in capsys.readouterr().err
 
 
+    def test_multi_path_bytes_match_old_formatter(self, tmp_path):
+        # The time column is formatted once per run and shared by the paths.
+        for data in (cir_config_dict(paths=3), dict(tsb_config_dict(), run={
+                "T": 1.0, "N": 300, "seed": 4, "paths": 3})):
+            cfg = write_config(tmp_path, data)
+            out = tmp_path / data["model"]["drift"]["family"]
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            rc = load_config(cfg)
+            for seed in range(rc.seed, rc.seed + rc.paths):
+                path = solver.simulate(rc.config, noise.generate_noise(
+                    rc.driver, rc.config.grid, seed), stepper=rc.stepper,
+                    tol=rc.tol)
+                assert (out / f"path_{seed}.csv").read_bytes() == old_csv(
+                    "t,y", (path.grid.points, path.values)).encode()
+
+
 def old_csv(header, columns):
     # The per-value formatter the CSV bytes were first written with.
     rows = np.column_stack(columns)
@@ -305,6 +322,41 @@ class TestNoiseCommand:
         assert (out / "cov_11.csv").read_text() == "\n".join(
             _csv_lines(cov.tolist())) + "\n"
 
+
+    def test_covariance_dump_memory_is_blocked(self, tmp_path, monkeypatch):
+        # The dump is written in row blocks: between the covariance build
+        # and the factor, Python objects for at most a few blocks exist.
+        n = 768
+        data = cir_config_dict(N=n)
+        data["noise"] = {"kind": "mbm", "H": {"a": 0.5, "b": 0.2,
+                                              "c": 2 * np.pi}}
+        cfg = write_config(tmp_path, data)
+        build, sample = cli.covariance_matrix, cli.sample_path
+        marks = {}
+
+        def building(spec, grid):
+            cov = build(spec, grid)
+            marks["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            return cov
+
+        def sampling(*args, **kwargs):
+            marks["dump_peak"] = tracemalloc.get_traced_memory()[1]
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(noise, "_factor_cache", {})
+        monkeypatch.setattr(cli, "covariance_matrix", building)
+        monkeypatch.setattr(cli, "sample_path", sampling)
+        tracemalloc.start()
+        try:
+            assert main(["noise", "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--cov"]) == 0
+        finally:
+            tracemalloc.stop()
+        # Under 128 bytes of floats, strings and text per dumped value
+        # (about 55 measured); the whole dump at once takes about 40 MB.
+        block = 128 * cli._DUMP_BLOCK
+        assert marks["dump_peak"] - marks["base"] <= 2 * block < 128 * n * n
 
 class TestConvergenceCommand:
     def test_small_study_writes_artifacts(self, tmp_path, capsys):

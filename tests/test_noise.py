@@ -234,6 +234,50 @@ class TestFastFbm:
         assert abs(np.var(vals) - target) <= 5.0 * se
 
 
+class TestSpectrumCache:
+    """sqrt of the circulant spectrum, cached per (n, H) across seeds."""
+
+    def setup_method(self):
+        noise_module._fgn_sqrt_spectrum.cache_clear()
+
+    teardown_method = setup_method
+
+    def test_cached_sample_equals_cold_sample(self):
+        grid = TimeGrid(1.0, 1000)
+        sample_path_fast_fbm(0.3, grid, 1)
+        warm = sample_path_fast_fbm(0.3, grid, 8)
+        assert noise_module._fgn_sqrt_spectrum.cache_info().hits == 1
+        noise_module._fgn_sqrt_spectrum.cache_clear()
+        cold = sample_path_fast_fbm(0.3, grid, 8)
+        assert np.array_equal(warm.values, cold.values)
+        assert np.array_equal(noise_module._fgn_sqrt_spectrum(1000, 0.3),
+                              np.sqrt(noise_module._fgn_circulant_eigs(1000, 0.3)))
+
+    def test_cached_root_is_read_only(self):
+        root = noise_module._fgn_sqrt_spectrum(64, 0.7)
+        with pytest.raises(ValueError):
+            root[0] = 1.0
+        assert noise_module._fgn_sqrt_spectrum(64, 0.7) is root
+
+    def test_cache_is_bounded(self):
+        for n in range(2, 40):
+            sample_path_fast_fbm(0.7, TimeGrid(1.0, n), 0)
+        info = noise_module._fgn_sqrt_spectrum.cache_info()
+        assert info.maxsize == 8
+        assert info.currsize == 8
+
+    def test_negative_eigenvalue_warns_and_falls_back_every_call(self, monkeypatch):
+        monkeypatch.setattr(noise_module, "_fgn_circulant_eigs",
+                            lambda n, hurst: np.full(2 * n, -1.0))
+        grid = TimeGrid(1.0, 32)
+        cholesky = sample_path(fbm(0.7), grid, 5).values
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="negative eigenvalue"):
+                path = sample_path_fast_fbm(0.7, grid, 5)
+            assert np.array_equal(path.values, cholesky)
+        assert noise_module._fgn_sqrt_spectrum.cache_info().hits == 2
+
+
 class TestGenerateNoise:
     def test_method_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sandwiched_sde.model import (
     SandwichConfig,
     cir_drift,
     constant_bound,
+    max_mesh,
     power_sandwich_drift,
     sin_bound,
     tsb_drift,
@@ -357,34 +359,38 @@ class TestSimulate:
 
 
 def stepwise_reference(cfg, noise, tol=1e-12):
-    """simulate() rebuilt from the public one-step solvers.
+    """simulate() rebuilt from the public one-step solvers."""
+    tt = cfg.grid.points.tolist()
+    dz = np.diff(noise.values).tolist()
+    values = [float(cfg.y0)]
+    for k in range(cfg.grid_points):
+        values.append(reference_step(cfg, tt[k + 1], values[-1], dz[k], tol))
+    return np.array(values)
 
-    Each step takes the closed form (the generic solver where the cubic
-    has no unique root inside the barriers) and is polished inline by the
+
+def reference_step(cfg, t_next, y_prev, dz, tol=1e-12):
+    """One step of simulate() from the public one-step solvers.
+
+    The step takes the closed form (the generic solver where the cubic
+    has no unique root inside the barriers) and is polished by the
     generic solver whenever it misses the residual contract.
     """
     drift = cfg.drift
     params = drift.param_dict
     delta = cfg.mesh
-    tt = cfg.grid.points.tolist()
-    dz = np.diff(noise.values).tolist()
-    values = [float(cfg.y0)]
-    for k in range(cfg.grid_points):
-        y_prev, t_next = values[-1], tt[k + 1]
-        z = y_prev + dz[k]
-        eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
-        if drift.family == "cir":
-            y = implicit_step_cir(y_prev, delta, dz[k],
-                                  params["kappa1"], params["kappa2"])
-        else:
-            try:
-                y = implicit_step_tsb(eq)
-            except StepError:
-                y = implicit_step_generic(eq, tol=tol)
-        if abs(y - drift.b(t_next, y) * delta - z) > tol * max(1.0, abs(z)):
+    z = y_prev + dz
+    eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
+    if drift.family == "cir":
+        y = implicit_step_cir(y_prev, delta, dz,
+                              params["kappa1"], params["kappa2"])
+    else:
+        try:
+            y = implicit_step_tsb(eq)
+        except StepError:
             y = implicit_step_generic(eq, tol=tol)
-        values.append(y)
-    return np.array(values)
+    if abs(y - drift.b(t_next, y) * delta - z) > tol * max(1.0, abs(z)):
+        y = implicit_step_generic(eq, tol=tol)
+    return y
 
 
 def sin_barrier_tsb():
@@ -545,6 +551,79 @@ class TestStepProperties:
     def test_tsb_step(self, rhs_pair):
         self.check(self.tsb, 0.5, rhs_pair)
 
+
+
+# A right-hand side: a barrier value plus a small signed offset, where the
+# barrier and the root outside it nearly make a double root of the cubic,
+# or a free value with |rhs| from 1e-12 to 1e2.
+_NEAR_BARRIER = st.tuples(st.sampled_from(("phi", "psi")),
+                          st.sampled_from((-1.0, 1.0)), st.floats(1e-12, 1e-2))
+_FREE_RHS = st.tuples(st.just("free"), st.sampled_from((-1.0, 1.0)),
+                      st.floats(1e-12, 1e2))
+
+
+class TestTsbKernelProperty:
+    """The windowed TSB loop of simulate() against the chain of one-step
+    solves, over admissible parameters and meshes."""
+
+    @staticmethod
+    def config(kappa1, kappa2, kappa3, share, sin_barriers, n):
+        # delta*kappa >= 0.08 keeps rhs = 1e2 inside what the residual
+        # contract can attain next to a barrier (see TestStepProperties).
+        mesh = share * 0.99 / max(1.0, 1.0 - kappa3)
+        if sin_barriers:
+            phi, psi, y0, holder = (sin_bound(0.0, 1.0, 10.0),
+                                    sin_bound(2.0, 1.0, 10.0), 1.0, 20.0)
+        else:
+            phi, psi, y0, holder = (constant_bound(-1.0), constant_bound(1.0),
+                                    0.0, 0.0)
+        bounds = BoundFunctions(phi, psi, 0.7, holder, n * mesh)
+        cfg = SandwichConfig(y0, tsb_drift(kappa1, kappa2, kappa3, bounds), n)
+        assert cfg.mesh <= max_mesh(cfg)
+        return cfg
+
+    @_PROPERTY
+    @given(kappa1=st.floats(0.5, 3.0), kappa2=st.floats(0.5, 3.0),
+           kappa3=st.one_of(st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)),
+           share=st.floats(0.5, 0.999), sin_barriers=st.booleans(),
+           targets=st.lists(st.one_of(_NEAR_BARRIER, _FREE_RHS),
+                            min_size=1, max_size=12),
+           window=st.sampled_from((1, 3, 7)))
+    def test_windowed_loop_equals_step_chain(self, kappa1, kappa2, kappa3,
+                                             share, sin_barriers, targets,
+                                             window):
+        cfg = self.config(kappa1, kappa2, kappa3, share, sin_barriers,
+                          len(targets))
+        drift, delta = cfg.drift, cfg.mesh
+        tt = cfg.grid.points
+        phi, psi = drift.bounds.phi(tt), drift.bounds.psi(tt)
+        # Build the noise step by step so that each step sees its target.
+        values, chain = [0.0], [cfg.y0]
+        for k, (where, sign, size) in enumerate(targets, start=1):
+            base = {"phi": phi[k], "psi": psi[k], "free": 0.0}[where]
+            values.append(values[-1] + (base + sign * size - chain[-1]))
+            chain.append(reference_step(cfg, tt[k], chain[-1],
+                                        values[-1] - values[-2]))
+        noise = NoisePath(grid=cfg.grid, values=np.array(values), seed=0,
+                          spec=brownian())
+        path = simulate(cfg, noise)
+        with mock.patch.object(solver, "_STEP_WINDOW", window):
+            windowed = simulate(cfg, noise)
+        assert np.array_equal(windowed.values, path.values)
+        assert np.array_equal(windowed.residuals, path.residuals)
+        if sin_barriers:
+            # np.sin need not round a scalar and an array alike.
+            np.testing.assert_allclose(path.values, chain, rtol=1e-12,
+                                       atol=1e-14)
+        else:
+            assert np.array_equal(path.values, chain)
+        assert np.all((phi < path.values) & (path.values < psi))
+        z = path.values[:-1] + np.diff(noise.values)
+        bound = 1e-12 * np.maximum(1.0, np.abs(z))
+        assert np.all(path.residuals[1:] <= bound)
+        for k in range(1, cfg.grid_points + 1):
+            y = path.values[k]
+            assert abs(y - drift.b(tt[k], y) * delta - z[k - 1]) <= bound[k - 1]
 
 class TestCheckSandwich:
     def _cfg(self, n=8):
