@@ -156,7 +156,8 @@ def cmd_noise(args) -> int:
         cov = covariance_matrix(rc.driver, grid)
         rows = max(1, _DUMP_BLOCK // grid.n)
         with _atomic_file(os.path.join(out, f"cov_{seed}.csv")) as fh:
-            # Dump first: the factor behind the sample overwrites cov.
+            # The factor behind the sample only reads cov's lower block
+            # rows; the noise file is written before the dump is renamed.
             for i0 in range(0, grid.n, rows):
                 fh.write("\n".join(_csv_lines(cov[i0:i0 + rows].tolist())) + "\n")
             write_noise(sample_path(rc.driver, grid, seed, cov=cov))

@@ -177,6 +177,8 @@ def mbm_covariance(s, t, hs, ht):
 
 
 _BLOCK = 256
+# Byte budget of one row chunk of a pointwise kernel (at least one row).
+_KERNEL_CHUNK_BYTES = 1 << 18
 
 
 def _blocks(n: int):
@@ -184,44 +186,65 @@ def _blocks(n: int):
         yield i0, min(i0 + _BLOCK, n)
 
 
-def _symmetric_from_lower(n: int, kernel) -> np.ndarray:
-    """Fill an n x n matrix from ``kernel(rows, cols)`` on the lower triangle.
+def _block_rows(packed: np.ndarray, n: int):
+    """Yield (i0, i1, rows i0:i1 x columns 0:i1) of a packed lower matrix.
 
-    Rows are built in blocks against the columns up to the block's end and
-    each block is mirrored into the upper triangle, so the result is exactly
-    symmetric and no other n x n array is allocated.
+    Each block row, diagonal block included, is one C-contiguous slice of
+    a flat buffer: n (n + 256) / 2 values when 256 divides n.
     """
-    out = np.empty((n, n))
     for i0, i1 in _blocks(n):
-        out[i0:i1, :i1] = kernel(slice(i0, i1), slice(0, i1))
-        out[:i0, i0:i1] = out[i0:i1, :i0].T
-        diag = out[i0:i1, i0:i1]
-        np.copyto(diag, diag.T, where=~np.tri(i1 - i0, dtype=bool))
-    return out
+        start = i0 * (i0 + _BLOCK) // 2  # the block rows above are full
+        yield i0, i1, packed[start:start + (i1 - i0) * i1].reshape(i1 - i0, i1)
 
 
-def covariance_matrix(spec: GaussianDriverSpec, grid: TimeGrid) -> np.ndarray:
-    """Covariance of (Z(t_1), ..., Z(t_n)); t_0 is excluded since Z(0) = 0.
-
-    Always a fresh C-contiguous float64 array that the caller may overwrite.
-    """
+def _kernel_rows(spec: GaussianDriverSpec, grid: TimeGrid):
+    """rows(i, j): the covariance of (Z(t_1), ..., Z(t_n)) at index slices i, j."""
     t = grid.points[1:]
     if spec.kind == "brownian":
-        return np.minimum.outer(t, t)
+        return lambda i, j: np.minimum.outer(t[i], t[j])
     if spec.kind == "fbm":
         hurst = spec.hurst
-        return _symmetric_from_lower(len(t), lambda i, j: fbm_covariance(
-            t[i, None], t[None, j], hurst))
+        return lambda i, j: fbm_covariance(t[i, None], t[None, j], hurst)
     if spec.kind == "mbm":
         h = np.asarray(spec.hurst_fn(t), dtype=float)
         if np.any(h <= 0.0) or np.any(h >= 1.0):
             raise ValueError("mbm Hurst function must take values in (0,1) on the grid")
-        return _symmetric_from_lower(len(t), lambda i, j: mbm_covariance(
-            t[i, None], t[None, j], h[i, None], h[None, j]))
+        return lambda i, j: mbm_covariance(t[i, None], t[None, j], h[i, None], h[None, j])
     if spec.kind == "custom":
-        # np.array copies, so the factor never writes into the kernel's data.
-        return np.array(spec.cov(t[:, None], t[None, :]), dtype=float, order="C")
+        full = np.asarray(spec.cov(t[:, None], t[None, :]), dtype=float)
+        return lambda i, j: full[i, j]
     raise ValueError(f"unknown driver kind {spec.kind!r}")
+
+
+def _fill_packed(n: int, rows, packed: Optional[np.ndarray] = None) -> np.ndarray:
+    # Lower block rows from rows(i, j), at most _KERNEL_CHUNK_BYTES per call.
+    if packed is None:
+        packed = np.empty(sum((i1 - i0) * i1 for i0, i1 in _blocks(n)))
+    for i0, i1, blk in _block_rows(packed, n):
+        step = max(1, _KERNEL_CHUNK_BYTES // (8 * i1))
+        for r in range(0, i1 - i0, step):
+            blk[r:r + step] = rows(slice(i0 + r, min(i0 + r + step, i1)), slice(0, i1))
+    return packed
+
+
+def covariance_matrix(spec: GaussianDriverSpec, grid: TimeGrid, *,
+                      packed: bool = False) -> np.ndarray:
+    """Covariance of (Z(t_1), ..., Z(t_n)); t_0 is excluded since Z(0) = 0.
+
+    Always a fresh C-contiguous float64 array that the caller may
+    overwrite. With ``packed=True`` it holds only the lower block rows, in
+    the flat layout of the Cholesky factor; fBm and mBm then evaluate
+    their kernel on lower rows only, and no n x n array is made.
+    """
+    n = grid.n
+    rows = _kernel_rows(spec, grid)
+    if packed:
+        return _fill_packed(n, rows)
+    out = np.empty((n, n))
+    for i0, i1 in _blocks(n):
+        out[i0:i1, :i1] = rows(slice(i0, i1), slice(0, i1))
+        out[:i0, i0:i1] = out[i0:i1, :i0].T  # diagonal blocks are evaluated whole
+    return out
 
 
 class CholeskyError(RuntimeError):
@@ -232,55 +255,49 @@ _MAX_JITTER_DOUBLINGS = 8
 _factor_cache: dict = {}
 
 
-def _cholesky_in_place(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of ``a`` with its Cholesky factor.
+def _cholesky_in_place(packed: np.ndarray, n: int) -> None:
+    """Overwrite a packed lower matrix with its Cholesky factor.
 
-    Left-looking and blocked: each block column is updated with one GEMM
-    against the finished columns, its diagonal block is factored by
-    ``np.linalg.cholesky`` and the panel below is solved against it. Only
-    the lower triangle is read or written, so the strict upper triangle
-    still holds the input. Raises ``np.linalg.LinAlgError`` if a diagonal
-    block is not positive definite.
+    Left-looking over block rows: each block left of the diagonal takes one
+    GEMM against finished blocks and a solve against the diagonal factor
+    above it; the diagonal block is then factored by ``np.linalg.cholesky``
+    (zeros above its diagonal), raising ``np.linalg.LinAlgError`` if not PD.
     """
-    n = a.shape[0]
-    for j0, j1 in _blocks(n):
-        done = a[j0:j1, :j0]
-        d = np.linalg.cholesky(a[j0:j1, j0:j1] - done @ done.T)
-        np.copyto(a[j0:j1, j0:j1], d, where=np.tri(j1 - j0, dtype=bool))
-        if j1 < n:
-            panel = a[j1:, j0:j1]
-            panel -= a[j1:, :j0] @ done.T
-            panel[...] = np.linalg.solve(d, panel.T).T
+    rows = list(_block_rows(packed, n))
+    for b, (i0, i1, blk) in enumerate(rows):
+        for j0, j1, above in rows[:b]:
+            part = blk[:, j0:j1]
+            part -= blk[:, :j0] @ above[:, :j0].T
+            part[...] = np.linalg.solve(above[:, j0:j1], part.T).T
+        left = blk[:, :i0]
+        blk[:, i0:i1] = np.linalg.cholesky(blk[:, i0:i1] - left @ left.T)
 
 
-def _restore_lower(a: np.ndarray, diag: np.ndarray) -> None:
-    # Undo a failed factorization from the untouched strict upper triangle.
-    for i0, i1 in _blocks(a.shape[0]):
-        a[i0:i1, :i0] = a[:i0, i0:i1].T
-        blk = a[i0:i1, i0:i1]
-        np.copyto(blk, blk.T, where=np.tri(i1 - i0, k=-1, dtype=bool))
-    np.fill_diagonal(a, diag)
+def _cholesky_with_jitter(packed: np.ndarray, n: int, refill) -> np.ndarray:
+    """Factor a packed covariance in place, adding diagonal jitter if not PD.
 
-
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    """Factor ``cov`` in place, adding diagonal jitter if it is not PD.
-
-    Returns ``cov`` itself, now lower triangular. Jitter starts at 1e-12
-    times the mean variance and doubles up to ``_MAX_JITTER_DOUBLINGS``
-    times; the amount used is reported with a warning. On failure ``cov``
-    is restored and ``CholeskyError`` is raised.
+    Returns ``packed``. Jitter starts at 1e-12 times the mean variance and
+    doubles up to ``_MAX_JITTER_DOUBLINGS`` times; the amount used is
+    reported with a warning. ``refill(packed)`` undoes a failed attempt from
+    the covariance's source; if every amount fails, ``CholeskyError``.
     """
-    diag = np.diagonal(cov).copy()
+    r = np.arange(n)
+    i0 = r - r % _BLOCK  # flat index of entry (r, r), as in _block_rows
+    index = i0 * (i0 + _BLOCK) // 2 + (r - i0) * np.minimum(i0 + _BLOCK, n) + r
+    diag = packed[index]
     jitter = 1e-12 * float(np.mean(diag))
     for amount in [0.0] + [jitter * 2.0 ** k for k in range(_MAX_JITTER_DOUBLINGS)]:
-        np.fill_diagonal(cov, diag + amount)
+        packed[index] = diag + amount
         try:
-            _cholesky_in_place(cov)
+            _cholesky_in_place(packed, n)
             break
         except np.linalg.LinAlgError:
-            _restore_lower(cov, diag)
+            refill(packed)
     else:
-        smallest = float(np.min(np.linalg.eigvalsh(cov)))
+        dense = np.zeros((n, n))
+        for b0, b1, blk in _block_rows(packed, n):
+            dense[b0:b1, :b1] = blk
+        smallest = float(np.min(np.linalg.eigvalsh(dense)))
         raise CholeskyError(
             f"covariance matrix is not positive definite after jitter; "
             f"smallest eigenvalue estimate {smallest:.3e}"
@@ -288,32 +305,34 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     if amount:
         warnings.warn(f"covariance matrix is not positive definite; added "
                       f"jitter {amount!r} to its diagonal")
-    for i0, i1 in _blocks(cov.shape[0]):
-        cov[i0:i1, i1:] = 0.0
-        np.copyto(cov[i0:i1, i0:i1], 0.0, where=~np.tri(i1 - i0, dtype=bool))
-    return cov
+    return packed
 
 
 def _brownian_like_factor(grid: TimeGrid) -> np.ndarray:
-    # Exact Cholesky factor of min(s,t) on a uniform grid.
-    n = grid.n
-    return np.tril(np.full((n, n), np.sqrt(grid.delta)))
+    # Exact Cholesky factor of min(s,t) on a uniform grid: sqrt(delta) at j <= i.
+    k, root = np.arange(grid.n), np.sqrt(grid.delta)
+    return _fill_packed(grid.n, lambda i, j: root * (k[j] <= k[i, None]))
 
 
 def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid,
                 cov: Optional[np.ndarray] = None) -> np.ndarray:
+    """The packed factor, cached by ``cache_key``; a dense ``cov`` is only read."""
     key = None
     if spec.cache_key is not None:
         key = (spec.cache_key, grid.horizon, grid.n)
         cached = _factor_cache.get(key)
         if cached is not None:
             return cached
+    n = grid.n
     if spec.kind == "brownian" or (spec.kind == "fbm" and spec.hurst == 0.5):
         factor = _brownian_like_factor(grid)
     else:
-        if cov is None:
-            cov = covariance_matrix(spec, grid)
-        factor = _cholesky_with_jitter(cov)
+        def refill(packed=None):
+            rows = _kernel_rows(spec, grid) if cov is None else lambda i, j: cov[i, j]
+            return _fill_packed(n, rows, packed)
+
+        packed = covariance_matrix(spec, grid, packed=True) if cov is None else refill()
+        factor = _cholesky_with_jitter(packed, n, refill)
     if key is not None:
         _factor_cache[key] = factor
     return factor
@@ -330,14 +349,13 @@ def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
     The sample has the exact joint Gaussian law of the driver restricted
     to the grid and is deterministic given (spec, grid, seed). ``cov``
     may pass in ``covariance_matrix(spec, grid)`` when the caller has
-    already built it; it is then factored in place, so its contents are
-    lost.
+    already built it; its lower block rows are copied into the factor's
+    buffer, and ``cov`` itself is left as it was.
     """
     factor = _factor_for(spec, grid, cov)
     xi = _rng(seed).standard_normal(grid.n)
-    values = np.empty(grid.n + 1)
-    values[0] = 0.0
-    values[1:] = factor @ xi
+    values = np.concatenate(
+        [[0.0], *(blk @ xi[:i1] for _, i1, blk in _block_rows(factor, grid.n))])
     return NoisePath(grid=grid, values=values, seed=seed, spec=spec)
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "SimulatedPath",
     "SandwichReport",
     "StepError",
+    "UnattainableContractError",
     "implicit_step_cir",
     "tsb_coefficients",
     "cardano_solve",
@@ -39,6 +40,10 @@ DEFAULT_TOL = 1e-12
 
 class StepError(RuntimeError):
     """An implicit step could not be solved to tolerance."""
+
+
+class UnattainableContractError(StepError):
+    """No double meets the residual contract: the bracket is two adjacent doubles."""
 
 
 @dataclass(frozen=True)
@@ -336,6 +341,11 @@ def implicit_step_generic(eq: ImplicitStepEquation,
         y = y_newton if lo < y_newton < hi else 0.5 * (lo + hi)
     if abs(g(y) - z) <= target:
         return y
+    if math.nextafter(lo, hi) == hi:
+        raise UnattainableContractError(
+            f"residual contract unattainable at t={t}: the adjacent doubles {float(lo)!r}"
+            f" and {float(hi)!r} leave residuals {g(lo) - z:.3e} and {g(hi) - z:.3e}, "
+            f"bound tol*max(1,|rhs|) = {target:.3e}")
     raise StepError(f"step did not converge at t={t}: residual {abs(g(y)-z):.3e}")
 
 
@@ -403,7 +413,7 @@ def _generic_path(config: SandwichConfig, noise: NoisePath, tol: float) -> tuple
         try:
             y = implicit_step_generic(eq, tol=tol)
         except StepError as exc:
-            raise StepError(f"step {k + 1} (t={t_next:.6g}, y={values[k]:.6g}): {exc}") from exc
+            raise type(exc)(f"step {k + 1} (t={t_next:.6g}, y={values[k]:.6g}): {exc}") from exc
         values[k + 1] = y
         residuals[k + 1] = abs(y - drift.b(t_next, y) * delta - z)
     return values, residuals
@@ -504,7 +514,8 @@ def _generic_step(drift: DriftSpec, t_next: float, delta: float, z: float,
     try:
         return implicit_step_generic(eq, tol=tol)
     except (StepError, DomainError) as exc:
-        raise StepError(f"step {k} (t={t_next:.6g}, rhs={z:.6g}): {exc}") from exc
+        kind = type(exc) if isinstance(exc, StepError) else StepError
+        raise kind(f"step {k} (t={t_next:.6g}, rhs={z:.6g}): {exc}") from exc
 
 
 def _strictly_inside(drift: DriftSpec, t: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -270,7 +270,7 @@ def test_criterion_08_showcase_runs():
     run_family("tsb fbm(0.7)", tsb_config(n), fbm(0.7), range(10))
     run_family("power sandwich mbm", power_sandwich_config(n),
                sin_hurst_driver(), range(3))
-    # Drop the large cached mBm covariance factor (about 0.8 GB).
+    # Drop the large cached mBm covariance factor (about 0.41 GB, packed).
     noise_module._factor_cache.clear()
 
 

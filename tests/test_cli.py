@@ -301,9 +301,9 @@ class TestNoiseCommand:
         build = noise.covariance_matrix
         calls = []
 
-        def counting(spec, grid):
+        def counting(spec, grid, **layout):
             calls.append(grid.n)
-            return build(spec, grid)
+            return build(spec, grid, **layout)
 
         monkeypatch.setattr(noise, "_factor_cache", {})
         monkeypatch.setattr(noise, "covariance_matrix", counting)
@@ -357,6 +357,27 @@ class TestNoiseCommand:
         # (about 55 measured); the whole dump at once takes about 40 MB.
         block = 128 * cli._DUMP_BLOCK
         assert marks["dump_peak"] - marks["base"] <= 2 * block < 128 * n * n
+
+class TestUnattainableContract:
+    def test_simulate_exits_1(self, tmp_path, monkeypatch, capsys):
+        # One step shocked to rhs = 2.5 on a 2^14 grid (see test_solver).
+        data = tsb_config_dict()
+        data["run"]["N"] = 2 ** 14
+        cfg = write_config(tmp_path, data)
+
+        def shock(driver, grid, seed):
+            values = np.full(grid.n + 1, 2.5)
+            values[0] = 0.0
+            return noise.NoisePath(grid=grid, values=values, seed=seed,
+                                   spec=driver)
+
+        monkeypatch.setattr(cli, "generate_noise", shock)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "step 1 " in err and "residual contract unattainable" in err
+        assert not list(out.glob("path_*.csv"))
+
 
 class TestConvergenceCommand:
     def test_small_study_writes_artifacts(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sandwiched_sde
+from dense_cholesky import dense_factor, dense_sample, unpack
 from sandwiched_sde import noise as noise_module
 from sandwiched_sde.noise import (
     CholeskyError,
@@ -511,28 +512,43 @@ class TestCovarianceBuffer:
                               fbm_covariance(t[:, None], t[None, :], 0.3))
 
 
+def never_refill(packed):
+    raise AssertionError("a positive definite covariance needs no refill")
+
+
 class TestBlockedCholesky:
     @pytest.mark.parametrize("spec,n", [
         (mbm_sin(0.5, 0.2, 2 * np.pi), 1024), (fbm(0.3), 600)])
     def test_matches_numpy_cholesky(self, spec, n):
-        cov = covariance_matrix(spec, TimeGrid(1.0, n))
+        grid = TimeGrid(1.0, n)
+        cov = covariance_matrix(spec, grid)
         ref = np.linalg.cholesky(cov)
-        factor = noise_module._cholesky_with_jitter(cov.copy())
+        packed = covariance_matrix(spec, grid, packed=True)
+        factor = unpack(noise_module._cholesky_with_jitter(packed, n, never_refill), n)
         # Measured 8.0e-13 (mBm, N=1024) and 3.8e-14 (fBm, N=600).
         assert factor_gap(factor, ref) <= 1e-12
         assert np.linalg.norm(factor @ factor.T - cov) <= (
             1e-14 * np.linalg.norm(cov))
+        # The diagonal blocks are stored whole, with zeros above the diagonal.
         assert np.array_equal(np.triu(factor, 1), np.zeros((n, n)))
 
     @pytest.mark.parametrize("n", [1, 100, 256, 300, 513])
     def test_block_edges(self, n):
         # Blocks of 256: below one block, exactly one, and ragged last blocks.
-        cov = covariance_matrix(fbm(0.3), TimeGrid(1.0, n))
-        a = cov.copy()
-        noise_module._cholesky_in_place(a)
-        assert factor_gap(np.tril(a), np.linalg.cholesky(cov)) <= 1e-13
-        upper = np.triu_indices(n, 1)
-        assert np.array_equal(a[upper], cov[upper])
+        grid = TimeGrid(1.0, n)
+        cov = covariance_matrix(fbm(0.3), grid)
+        packed = covariance_matrix(fbm(0.3), grid, packed=True)
+        full, ragged = divmod(n, 256)
+        assert packed.size == 256 * 256 * full * (full + 1) // 2 + ragged * n
+        rows = list(noise_module._block_rows(packed, n))
+        assert [(i0, i1) for i0, i1, _ in rows] == [
+            (i0, min(i0 + 256, n)) for i0 in range(0, n, 256)]
+        for i0, i1, blk in rows:
+            assert np.array_equal(blk, cov[i0:i1, :i1])
+        noise_module._cholesky_in_place(packed, n)
+        a = unpack(packed, n)
+        assert factor_gap(a, np.linalg.cholesky(cov)) <= 1e-13
+        assert np.array_equal(np.triu(a, 1), np.zeros((n, n)))
 
     def test_cold_factor_memory_bound(self):
         n = 2048
@@ -542,8 +558,10 @@ class TestBlockedCholesky:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One n x n buffer plus O(n * block) temporaries; measured 1.63.
-        assert peak <= 2.0 * 8 * n * n
+        # The packed buffer, n (n + 256) / 2 values (0.5625 of 8 n^2 at
+        # n = 2048), plus kernel row chunks and 256 x 256 temporaries;
+        # measured 0.60 (0.72 with 1 MB row chunks).
+        assert peak <= 0.75 * 8 * n * n
 
     def test_jitter_is_reported(self):
         n = 300
@@ -551,7 +569,7 @@ class TestBlockedCholesky:
                       0.49)
         grid = TimeGrid(1.0, n)
         with pytest.warns(UserWarning, match="jitter") as record:
-            factor = noise_module._factor_for(spec, grid)
+            factor = unpack(noise_module._factor_for(spec, grid), n)
         jitter = float(re.search(r"jitter (\S+)", str(record[0].message))[1])
         assert jitter > 0.0
         cov = covariance_matrix(spec, grid)
@@ -570,18 +588,137 @@ class TestBlockedCholesky:
         # the last variance makes it negative, so the factor fails in the
         # second row block, after the first has been overwritten.
         n = 300
+        grid = TimeGrid(1.0, n)
         stored = brownian_matrix(n)
         stored[-1, -1] -= 2.0 / n
         before = stored.copy()
         smallest = np.min(np.linalg.eigvalsh(before))
         assert smallest < 0.0
         with pytest.raises(CholeskyError, match=f"{smallest:.3e}"):
-            sample_path(stored_kernel(stored), TimeGrid(1.0, n), 0)
+            sample_path(stored_kernel(stored), grid, 0)
         assert np.array_equal(stored, before)
+        # A caller's dense covariance is only read.
         work = before.copy()
-        with pytest.raises(CholeskyError):
-            noise_module._cholesky_with_jitter(work)
+        with pytest.raises(CholeskyError, match=f"{smallest:.3e}"):
+            sample_path(stored_kernel(stored), grid, 0, cov=work)
         assert np.array_equal(work, before)
+        # Each failed attempt is undone by refilling from the source.
+        packed = covariance_matrix(stored_kernel(stored), grid, packed=True)
+        source = packed.copy()
+        refills = []
+
+        def refill(buf):
+            refills.append(1)
+            buf[...] = source
+
+        with pytest.raises(CholeskyError):
+            noise_module._cholesky_with_jitter(packed, n, refill)
+        assert len(refills) == 1 + noise_module._MAX_JITTER_DOUBLINGS
+        assert np.array_equal(packed, source)
+
+
+# mBm below one block, exactly one, one row past it and four blocks;
+# fBm with a ragged last block.
+ORACLE_CASES = [(mbm_sin(0.5, 0.2, 2 * np.pi), n) for n in (1, 255, 256, 257, 1024)] \
+    + [(fbm(0.3), 600)]
+
+
+class TestDenseOracle:
+    """The packed factor against the dense factor the library used to build."""
+
+    @pytest.mark.parametrize("spec,n", ORACLE_CASES)
+    def test_factor_blocks_equal_dense_factor(self, spec, n):
+        grid = TimeGrid(1.0, n)
+        factor = cold_factor(spec, grid)
+        dense = dense_factor(spec, grid)
+        for i0, i1, blk in noise_module._block_rows(factor, n):
+            assert np.array_equal(blk, dense[i0:i1, :i1])
+        assert np.array_equal(unpack(factor, n), dense)
+
+    @pytest.mark.parametrize("spec,n", ORACLE_CASES)
+    def test_samples_equal_dense_gemv(self, spec, n):
+        grid = TimeGrid(1.0, n)
+        noise_module._factor_cache.pop((spec.cache_key, 1.0, n), None)
+        dense = dense_factor(spec, grid)
+        for seed in range(5):
+            got = generate_noise(spec, grid, seed, method="cholesky").values
+            want = dense_sample(dense, seed)
+            if n % 256 == 1:
+                # The last block is one row, which numpy computes as a dot
+                # product: the same sum as the GEMV row, in another order
+                # (measured: up to 16 ulp of the last value at n = 257).
+                bound = 4 * n * np.finfo(float).eps * (
+                    np.abs(dense) @ np.abs(noise_module._rng(seed).standard_normal(n)))
+                assert np.all(np.abs(got[1:] - want[1:]) <= bound)
+            else:
+                assert np.array_equal(got, want)
+        noise_module._factor_cache.pop((spec.cache_key, 1.0, n), None)
+
+    @pytest.mark.parametrize("spec", [
+        brownian(), fbm(0.5), custom(lambda s, t: np.exp(-np.abs(s - t)), 0.49)])
+    def test_other_cholesky_routes_equal_dense_gemv(self, spec):
+        grid = TimeGrid(2.0, 512)
+        dense = dense_factor(spec, grid)
+        for seed in range(3):
+            assert np.array_equal(sample_path(spec, grid, seed).values,
+                                  dense_sample(dense, seed))
+
+
+JITTER_SIZES = (1, 255, 256, 257, 300, 513)
+
+
+@st.composite
+def near_singular_covariances(draw):
+    """A rank-one kernel plus eps I, or fBm at pairs of near-duplicate times."""
+    n = draw(st.sampled_from(JITTER_SIZES))
+    t = TimeGrid(1.0, n).points[1:]
+    if draw(st.booleans()):
+        a = draw(st.floats(0.6, 2.0))
+        v = a + 0.5 * np.sin(draw(st.floats(0.0, 20.0)) * t)
+        eps = draw(st.sampled_from((0.0, 1e-18, 1e-16, 1e-14))) * a * a
+        return np.outer(v, v) + eps * np.eye(n)
+    tau = t.copy()
+    tau[1::2] = tau[:-1:2] + draw(st.sampled_from((0.0, 1e-14, 1e-12, 1e-10)))
+    return fbm_covariance(tau[:, None], tau[None, :], draw(st.floats(0.6, 0.9)))
+
+
+class TestJitterProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(near_singular_covariances())
+    def test_jittered_factor(self, matrix):
+        n = matrix.shape[0]
+        grid = TimeGrid(1.0, n)
+        stored = matrix.copy()
+        spec = stored_kernel(stored)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            factor = noise_module._factor_for(spec, grid)
+        amount = 0.0
+        if record:
+            (message,) = [str(w.message) for w in record]
+            amount = float(re.search(r"jitter (\S+) to its diagonal", message)[1])
+            schedule = 1e-12 * float(np.mean(np.diagonal(matrix)))
+            assert amount in [schedule * 2.0 ** k
+                              for k in range(noise_module._MAX_JITTER_DOUBLINGS)]
+            assert repr(amount) in message
+        lower = unpack(factor, n)
+        gap = np.max(np.abs(lower @ lower.T - (matrix + amount * np.eye(n))))
+        assert gap <= 1e-12 * np.max(np.abs(matrix))
+        cov = covariance_matrix(spec, grid)
+        before = cov.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            from_dense = noise_module._factor_for(spec, grid, cov=cov)
+            oracle = dense_factor(spec, grid)
+        assert np.array_equal(from_dense, factor)
+        assert np.array_equal(cov, before)
+        assert np.array_equal(stored, matrix)
+        if n % 256 != 1:
+            # A one-row last block is solved against the first diagonal
+            # factor alone, where the dense factor solved it with 256 more
+            # rows; OpenBLAS takes another path for one right-hand side,
+            # and at n = 513 the last row moved in its last bits.
+            assert np.array_equal(lower, oracle)
 
 
 def test_import_leaves_scipy_linalg_out():

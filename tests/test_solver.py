@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -500,6 +501,35 @@ class TestClosedFormLoop:
         cfg = SandwichConfig(0.0, drift, 1)
         with pytest.raises(StepError, match=r"^step 1 "):
             simulate(cfg, one_step_noise(cfg, 1e6))
+
+
+    def test_unattainable_contract_names_both_neighbours(self):
+        # kappa1 = kappa2 = 0.5, barriers +-1, N = 2^14: a one-step shock
+        # to rhs = 2.5 puts the root about 5e-6 below psi = 1, where the
+        # residual jumps by more than the bound between adjacent doubles.
+        drift = tsb_drift(0.5, 0.5, 0.0, BoundFunctions(
+            constant_bound(-1.0), constant_bound(1.0), 0.7, 0.0, 1.0))
+        cfg = SandwichConfig(0.0, drift, 2 ** 14)
+        values = np.full(cfg.grid_points + 1, 2.5)
+        values[0] = 0.0
+        noise = NoisePath(grid=cfg.grid, values=values, seed=0, spec=brownian())
+        for stepper in ("auto", "generic"):
+            with pytest.raises(solver.UnattainableContractError,
+                               match=r"^step 1 ") as info:
+                simulate(cfg, noise, stepper=stepper)
+            assert isinstance(info.value, StepError)
+            found = re.search(r"doubles (\S+) and (\S+) leave residuals (\S+) "
+                              r"and (\S+), bound tol\*max\(1,\|rhs\|\) = (\S+)$",
+                              str(info.value))
+            lo, hi = float(found[1]), float(found[2])
+            assert math.nextafter(lo, hi) == hi < 1.0
+            bound = float(found[5])
+            assert bound == pytest.approx(2.5e-12)
+            t = cfg.grid.points[1]
+            for y, printed in ((lo, found[3]), (hi, found[4])):
+                resid = y - drift.b(t, y) * cfg.mesh - 2.5
+                assert f"{resid:.3e}" == printed
+                assert abs(resid) > bound
 
 
 _HORIZON = 0.25
