@@ -166,8 +166,7 @@ def _jackknife_slope_stderr(deltas, err_r, r) -> Optional[float]:
     return float(math.sqrt((m - 1) / m * np.sum((slopes - slopes.mean()) ** 2)))
 
 
-def run_convergence_study(spec: ConvergenceStudySpec,
-                          noise_method: str = "auto") -> ConvergenceReport:
+def run_convergence_study(spec: ConvergenceStudySpec) -> ConvergenceReport:
     """Monte Carlo estimate of the strong rate over nested grids.
 
     Per path: draw the reference noise, run the scheme at the reference
@@ -185,8 +184,7 @@ def run_convergence_study(spec: ConvergenceStudySpec,
 
     for m in range(spec.paths):
         seed = spec.seed_base + m
-        ref_noise = generate_noise(spec.driver, ref_grid, seed,
-                                   method=noise_method)
+        ref_noise = generate_noise(spec.driver, ref_grid, seed)
         try:
             reference = simulate(ref_config, ref_noise, stepper=spec.stepper,
                                  tol=spec.tol)

@@ -2,8 +2,9 @@
 
 Subcommands: validate, simulate, noise, convergence. Exit codes:
 0 success, 1 domain or validation failure, 2 usage or parse error.
-All outputs are deterministic given the config and seeds; files are
-written to a temporary name and renamed on success.
+All outputs are deterministic given the config and seeds (and, for
+noise sampled through a Cholesky factor, the BLAS thread count); files
+are written to a temporary name and renamed on success.
 """
 
 from __future__ import annotations

@@ -19,6 +19,9 @@ Schema (unknown keys are rejected at every level):
               "stepper": "auto" | "closed" | "generic", "tol": ...},
       "output": {"dir": ..., "format": "csv" | "json"}
     }
+
+Path files are always written as CSV: "format" is validated so that
+existing configs keep loading, but it selects nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ class RunConfig:
     stepper: str
     tol: float
     out_dir: Optional[str]
-    out_format: str
 
 
 def _section(data: dict, name: str, allowed: set, required: set) -> dict:
@@ -187,8 +189,7 @@ def parse_config(data: dict) -> RunConfig:
     tol = _number(run, "run", "tol", 1e-12)
 
     output = _section(data.get("output", {}), "output", {"dir", "format"}, set())
-    out_format = output.get("format", "csv")
-    if out_format not in ("csv", "json"):
+    if output.get("format", "csv") not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
 
     return RunConfig(
@@ -199,7 +200,6 @@ def parse_config(data: dict) -> RunConfig:
         stepper=stepper,
         tol=tol,
         out_dir=output.get("dir"),
-        out_format=out_format,
     )
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "cir_drift",
     "tsb_drift",
     "power_sandwich_drift",
-    "eval_drift",
     "validate_assumptions",
     "max_mesh",
     "mesh_terms",
@@ -330,14 +329,6 @@ def power_sandwich_drift(kappa1: float, kappa2: float, gamma: float,
     """Two-sided drift with repulsion power gamma at both barriers."""
     return _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds,
                             family="power_sandwich")
-
-
-def eval_drift(spec: DriftSpec, t: float, y: float) -> float:
-    """Evaluate b(t, y); raises DomainError outside the open domain."""
-    value = spec.b(t, y)
-    if not math.isfinite(value):
-        raise DomainError(f"drift evaluated to a non-finite value at (t={t}, y={y})")
-    return value
 
 
 # ---------------------------------------------------------------------------

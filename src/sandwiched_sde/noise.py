@@ -347,7 +347,9 @@ def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
     """Sample the driver on the grid via the covariance Cholesky factor.
 
     The sample has the exact joint Gaussian law of the driver restricted
-    to the grid and is deterministic given (spec, grid, seed). ``cov``
+    to the grid and is deterministic given (spec, grid, seed) and the
+    BLAS thread count: the factor and the products go through BLAS, whose
+    rounding depends on how many threads it uses. ``cov``
     may pass in ``covariance_matrix(spec, grid)`` when the caller has
     already built it; its lower block rows are copied into the factor's
     buffer, and ``cov`` itself is left as it was.

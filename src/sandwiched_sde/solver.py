@@ -17,18 +17,16 @@ from typing import Optional
 
 import numpy as np
 
-from .model import TWO_SIDED, DomainError, DriftSpec, SandwichConfig, max_mesh
+from .model import (TWO_SIDED, DomainError, DriftSpec, SandwichConfig, max_mesh,
+                    theoretical_envelope)
 from .noise import NoisePath, TimeGrid
 
 __all__ = [
-    "ImplicitStepEquation",
     "SimulatedPath",
     "SandwichReport",
     "StepError",
     "UnattainableContractError",
     "implicit_step_cir",
-    "tsb_coefficients",
-    "cardano_solve",
     "implicit_step_tsb",
     "implicit_step_generic",
     "simulate",
@@ -44,16 +42,6 @@ class StepError(RuntimeError):
 
 class UnattainableContractError(StepError):
     """No double meets the residual contract: the bracket is two adjacent doubles."""
-
-
-@dataclass(frozen=True)
-class ImplicitStepEquation:
-    """One implicit equation y - b(t_next, y) * delta = rhs."""
-
-    t_next: float
-    delta: float
-    rhs: float
-    drift: DriftSpec
 
 
 @dataclass(frozen=True)
@@ -80,24 +68,28 @@ class SandwichReport:
     lam_hat: Optional[float]
 
 
-def implicit_step_cir(y_prev: float, delta: float, dz: float,
-                      kappa1: float, kappa2: float) -> float:
+def implicit_step_cir(drift: DriftSpec, t_next: float, delta: float,
+                      rhs: float) -> float:
     """Closed-form implicit step for the CIR drift with gamma = 1.
 
-    Solves y = z + (kappa1/y - kappa2*y)*delta for the unique positive
-    root; the discriminant is positive for any z when kappa1 > 0.
+    Solves y = rhs + (kappa1/y - kappa2*y)*delta for the unique positive
+    root; the discriminant is positive for any rhs when kappa1 > 0. The
+    CIR drift does not depend on t_next. A one-step window of the kernel
+    that ``simulate`` runs, so both take the same floating-point path.
     """
-    scale = 1.0 + kappa2 * delta
-    return _cir_steps(y_prev, [dz], 4.0 * kappa1 * delta * scale, 2.0 * scale)[0]
+    return _cir_steps(rhs, [0.0], drift.param_dict, delta)[0]
 
 
-def _cir_steps(y: float, dz, c: float, two_scale: float) -> list:
+def _cir_steps(y: float, dz, params: dict, delta: float) -> list:
     """Closed-form CIR steps from y over the increments dz.
 
-    Each step is the positive root of (two_scale/2) y^2 - z y
-    - c/(2 two_scale) = 0 with z = y_prev + dz. For z < 0 the
-    rationalized form avoids cancelling sqrt(z^2 + c) against -z.
+    Each step is the positive root of s y^2 - z y - kappa1*delta = 0
+    with s = 1 + kappa2*delta and z = y_prev + dz. For z < 0 the
+    rationalized form avoids cancelling sqrt(z^2 + c) against -z, where
+    c = 4*kappa1*delta*s.
     """
+    scale = 1.0 + params["kappa2"] * delta
+    c, two_scale = 4.0 * params["kappa1"] * delta * scale, 2.0 * scale
     sqrt = math.sqrt
     out = []
     append = out.append
@@ -135,17 +127,6 @@ def _tsb_affine(phi: np.ndarray, psi: np.ndarray, delta: float, kappa1: float,
             (prod / scale).tolist())
 
 
-def tsb_coefficients(y_prev: float, dz: float, delta: float,
-                     kappa1: float, kappa2: float, kappa3: float,
-                     phi_next: float, psi_next: float) -> tuple:
-    """Monic cubic coefficients (B2, B1, B0) of the implicit TSB step."""
-    scale = _tsb_scale(delta, kappa3)
-    (c2,), (c1,), (e1,), (c0,), (e0,) = _tsb_affine(
-        np.array([phi_next]), np.array([psi_next]), delta, kappa1, kappa2, scale)
-    z = y_prev + dz
-    return c2 - z / scale, c1 + e1 * z, c0 - e0 * z
-
-
 _REAL_ROOT_TOL = 1e-9
 _HALF_SQRT3 = math.sqrt(3.0) / 2.0
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -157,9 +138,12 @@ def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float,
     """Implicit TSB steps from y over the increments dz.
 
     ``coefs`` are the lists of ``_tsb_affine`` and phi, psi the barrier
-    lists of the same steps. Each step solves the monic cubic of
-    z = y_prev + dz by Cardano in shift form (see ``cardano_solve``) and
-    keeps its real root strictly inside (phi, psi); a root counts as
+    lists of the same steps. Each step solves the monic cubic
+    y^3 + B2 y^2 + B1 y + B0 of z = y_prev + dz by Cardano in shift
+    form: y = u - B2/3 gives the depressed cubic u^3 + 3p u + 2q = 0,
+    solved in trigonometric form when its three roots are real and
+    distinct and by real cube roots otherwise. The step keeps the real
+    root strictly inside (phi, psi); a root counts as
     real when its imaginary part is at most _REAL_ROOT_TOL * (1 + |real
     part|). A step without exactly one such root takes
     ``no_root(i, z)``, with i its index in dz.
@@ -225,39 +209,18 @@ def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-def cardano_solve(b2: float, b1: float, b0: float) -> tuple:
-    """Three complex roots of y^3 + b2*y^2 + b1*y + b0 = 0 (Cardano).
-
-    Real arithmetic in shift form, as in the TSB step: y = u - b2/3
-    gives the depressed cubic u^3 + 3p*u + 2q = 0, solved in
-    trigonometric form when its three roots are real and distinct and
-    by real cube roots otherwise.
-    """
-    shift = b2 / 3.0
-    p = b1 / 3.0 - shift * shift
-    q = shift * (shift * shift - 0.5 * b1) + 0.5 * b0
-    disc = p * p * p + q * q
-    if disc < 0.0:
-        m = math.sqrt(-p)
-        t3 = math.acos(min(1.0, max(-1.0, q / (p * m)))) / 3.0
-        return tuple(complex(2.0 * m * math.cos(t3 - a) - shift)
-                     for a in (0.0, _TWO_THIRDS_PI, _FOUR_THIRDS_PI))
-    r0, pair, h = _one_real_root(p, q, disc, shift)
-    return complex(r0), complex(pair, h), complex(pair, -h)
-
-
-def implicit_step_tsb(eq: ImplicitStepEquation) -> float:
+def implicit_step_tsb(drift: DriftSpec, t_next: float, delta: float,
+                      rhs: float) -> float:
     """Implicit TSB step: the unique cubic root inside (phi, psi).
 
     A one-step window of the kernel that ``simulate`` runs, so both
     take the same floating-point path.
     """
-    drift = eq.drift
     params = drift.param_dict
-    phi_next = float(drift.bounds.phi(eq.t_next))
-    psi_next = float(drift.bounds.psi(eq.t_next))
-    scale = _tsb_scale(eq.delta, params["kappa3"])
-    coefs = _tsb_affine(np.array([phi_next]), np.array([psi_next]), eq.delta,
+    phi_next = float(drift.bounds.phi(t_next))
+    psi_next = float(drift.bounds.psi(t_next))
+    scale = _tsb_scale(delta, params["kappa3"])
+    coefs = _tsb_affine(np.array([phi_next]), np.array([psi_next]), delta,
                         params["kappa1"], params["kappa2"], scale)
 
     def no_root(i, z):
@@ -265,26 +228,26 @@ def implicit_step_tsb(eq: ImplicitStepEquation) -> float:
             f"expected exactly one real root in ({phi_next}, {psi_next}) "
             f"for rhs={z}; mesh condition likely violated")
 
-    return _tsb_steps(eq.rhs, [0.0], coefs, [phi_next], [psi_next], scale,
+    return _tsb_steps(rhs, [0.0], coefs, [phi_next], [psi_next], scale,
                       no_root)[0]
 
 
 _BRACKET_BUDGET = 64
 
 
-def implicit_step_generic(eq: ImplicitStepEquation,
-                          tol: float = DEFAULT_TOL) -> float:
+def implicit_step_generic(drift: DriftSpec, t_next: float, delta: float,
+                          rhs: float, tol: float = DEFAULT_TOL) -> tuple:
     """Solve the implicit step by bracketing plus safeguarded Newton.
 
     g(y) = y - b(t, y)*delta is strictly increasing, tends to -inf at
     phi(t)+ and to +inf at psi(t)- (two-sided) or as y -> inf, so a sign
     change bracket always exists; Newton accelerates inside it and falls
-    back to bisection whenever it leaves the bracket.
+    back to bisection whenever it leaves the bracket. Returns
+    ``(y, abs(g(y) - rhs))``, the residual the contract was checked on.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    drift = eq.drift
-    t, delta, z = eq.t_next, eq.delta, eq.rhs
+    t, z = t_next, rhs
 
     def g(y):
         return y - drift.b(t, y) * delta
@@ -331,7 +294,7 @@ def implicit_step_generic(eq: ImplicitStepEquation,
         gy = g(y)
         err = gy - z
         if abs(err) <= target:
-            return y
+            return y, abs(err)
         if err > 0.0:
             hi = y
         else:
@@ -339,19 +302,21 @@ def implicit_step_generic(eq: ImplicitStepEquation,
         slope = 1.0 - drift.db_dy(t, y) * delta
         y_newton = y - err / slope if slope > 0.0 else math.inf
         y = y_newton if lo < y_newton < hi else 0.5 * (lo + hi)
-    if abs(g(y) - z) <= target:
-        return y
+    resid = abs(g(y) - z)
+    if resid <= target:
+        return y, resid
     if math.nextafter(lo, hi) == hi:
         raise UnattainableContractError(
             f"residual contract unattainable at t={t}: the adjacent doubles {float(lo)!r}"
             f" and {float(hi)!r} leave residuals {g(lo) - z:.3e} and {g(hi) - z:.3e}, "
             f"bound tol*max(1,|rhs|) = {target:.3e}")
-    raise StepError(f"step did not converge at t={t}: residual {abs(g(y)-z):.3e}")
+    raise StepError(f"step did not converge at t={t}: residual {resid:.3e}")
 
 
 def _choose_stepper(drift: DriftSpec, stepper: str) -> str:
-    if stepper in ("closed_form_cir", "cardano_tsb", "bracketed_generic"):
-        return stepper
+    """The route label for ``stepper`` (auto, closed or generic)."""
+    if stepper not in ("auto", "closed", "generic"):
+        raise ValueError(f"unknown stepper {stepper!r}")
     if stepper == "generic":
         return "bracketed_generic"
     closed = None
@@ -360,15 +325,11 @@ def _choose_stepper(drift: DriftSpec, stepper: str) -> str:
     elif drift.family in ("tsb", "power_sandwich") \
             and drift.param_dict.get("gamma") == 1.0:
         closed = "cardano_tsb"
-    if stepper == "closed":
-        if closed is None:
-            raise ValueError(
-                f"no closed-form stepper for family {drift.family!r} "
-                f"with gamma={drift.param_dict.get('gamma')}")
-        return closed
-    if stepper == "auto":
-        return closed or "bracketed_generic"
-    raise ValueError(f"unknown stepper {stepper!r}")
+    if stepper == "closed" and closed is None:
+        raise ValueError(
+            f"no closed-form stepper for family {drift.family!r} "
+            f"with gamma={drift.param_dict.get('gamma')}")
+    return closed or "bracketed_generic"
 
 
 def simulate(config: SandwichConfig, noise: NoisePath,
@@ -406,16 +367,9 @@ def _generic_path(config: SandwichConfig, noise: NoisePath, tol: float) -> tuple
     values = np.empty(n + 1)
     residuals = np.zeros(n + 1)
     values[0] = y = config.y0
-    for k in range(n):
-        t_next = tt[k + 1]
-        z = y + dz[k]
-        eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
-        try:
-            y = implicit_step_generic(eq, tol=tol)
-        except StepError as exc:
-            raise type(exc)(f"step {k + 1} (t={t_next:.6g}, y={values[k]:.6g}): {exc}") from exc
-        values[k + 1] = y
-        residuals[k + 1] = abs(y - drift.b(t_next, y) * delta - z)
+    for k in range(1, n + 1):
+        y, residuals[k] = _generic_step(drift, tt[k], delta, y + dz[k - 1], tol, k)
+        values[k] = y
     return values, residuals
 
 
@@ -442,7 +396,6 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
     """
     drift = config.drift
     params = drift.param_dict
-    kappa1, kappa2 = params["kappa1"], params["kappa2"]
     n, delta = config.grid_points, config.mesh
     tt = config.grid.points
     dz = np.diff(noise.values)
@@ -451,11 +404,8 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
     values[0] = config.y0
 
     if mode == "closed_form_cir":
-        scale = 1.0 + kappa2 * delta
-        c, two_scale = 4.0 * kappa1 * delta * scale, 2.0 * scale
-
         def steps(y, w0, w1):
-            return _cir_steps(y, dz[w0:w1].tolist(), c, two_scale)
+            return _cir_steps(y, dz[w0:w1].tolist(), params, delta)
     else:
         scale = _tsb_scale(delta, params["kappa3"])
         phi = np.broadcast_to(drift.bounds.phi(tt), tt.shape)
@@ -466,10 +416,11 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
 
             def generic(i, z):
                 k = w0 + 1 + i
-                return _generic_step(drift, float(tt[k]), delta, z, tol, k)
+                return _generic_step(drift, float(tt[k]), delta, z, tol, k)[0]
 
             return _tsb_steps(y, dz[w0:w1].tolist(),
-                              _tsb_affine(lo, hi, delta, kappa1, kappa2, scale),
+                              _tsb_affine(lo, hi, delta, params["kappa1"],
+                                          params["kappa2"], scale),
                               lo.tolist(), hi.tolist(), scale, generic)
 
     def advance(start, stop):
@@ -500,19 +451,21 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
             continue
         k = start + 1 + j
         residuals[start + 1:k] = resid[:j]
-        t_k, z_k = float(t[j]), float(z[j])
-        values[k] = y_k = _generic_step(drift, t_k, delta, z_k, tol, k)
-        residuals[k] = abs(y_k - drift.b(t_k, y_k) * delta - z_k)
+        values[k], residuals[k] = _generic_step(drift, float(t[j]), delta,
+                                                float(z[j]), tol, k)
         start, window = k, _RESUME_WINDOW
     return values, residuals
 
 
 def _generic_step(drift: DriftSpec, t_next: float, delta: float, z: float,
-                  tol: float, k: int) -> float:
-    """Step k by the bracketed solver, for a closed form that fell short."""
-    eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
+                  tol: float, k: int) -> tuple:
+    """Step k by the bracketed solver: (y, residual).
+
+    A failure raises StepError (or its subclass) naming the step; a
+    drift's DomainError becomes a StepError.
+    """
     try:
-        return implicit_step_generic(eq, tol=tol)
+        return implicit_step_generic(drift, t_next, delta, z, tol=tol)
     except (StepError, DomainError) as exc:
         kind = type(exc) if isinstance(exc, StepError) else StepError
         raise kind(f"step {k} (t={t_next:.6g}, rhs={z:.6g}): {exc}") from exc
@@ -534,8 +487,6 @@ def check_sandwich(path: SimulatedPath, config: SandwichConfig,
     The envelope check is a soft diagnostic: a grid-based estimate of the
     Holder constant underestimates the true pathwise one.
     """
-    from .model import theoretical_envelope
-
     tt = path.grid.points
     strict = _strictly_inside(config.drift, tt, path.values)
     violations = tuple(int(i) for i in np.nonzero(~strict)[0])

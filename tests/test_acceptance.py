@@ -39,7 +39,6 @@ from sandwiched_sde.noise import (
 )
 import sandwiched_sde.noise as noise_module
 from sandwiched_sde.solver import (
-    ImplicitStepEquation,
     implicit_step_cir,
     implicit_step_tsb,
     simulate,
@@ -162,7 +161,7 @@ def test_criterion_02_step_residuals_and_oracles():
         delta = rng.uniform(0.001, 0.2)
         y_prev = rng.uniform(0.01, 5.0)
         dz = rng.normal()
-        closed = implicit_step_cir(y_prev, delta, dz, 1.0, 1.0)
+        closed = implicit_step_cir(cir, 0.5, delta, y_prev + dz)
         oracle = bisect(cir, delta, y_prev + dz, 1e-14, abs(y_prev + dz) + 10.0)
         worst_cir = max(worst_cir, abs(closed - oracle))
     assert worst_cir <= 1e-10
@@ -173,8 +172,7 @@ def test_criterion_02_step_residuals_and_oracles():
     for _ in range(1000):
         delta = rng.uniform(0.001, 0.2)
         rhs = rng.normal(scale=2.0)
-        eq = ImplicitStepEquation(t_next=0.5, delta=delta, rhs=rhs, drift=tsb)
-        got = implicit_step_tsb(eq)
+        got = implicit_step_tsb(tsb, 0.5, delta, rhs)
         oracle = bisect(tsb, delta, rhs, -1.0 + 1e-14, 1.0 - 1e-14)
         worst_tsb = max(worst_tsb, abs(got - oracle))
     assert worst_tsb <= 1e-10

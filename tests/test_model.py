@@ -13,7 +13,6 @@ from sandwiched_sde.model import (
     cir_drift,
     ckls_transform,
     constant_bound,
-    eval_drift,
     max_mesh,
     power_sandwich_drift,
     sin_bound,
@@ -42,39 +41,39 @@ def moving_barrier_drift(lam=0.3, horizon=1.0):
 class TestEvalDrift:
     def test_cir_equilibrium(self):
         d = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)
-        assert eval_drift(d, 0.0, 1.0) == 0.0
+        assert d.b(0.0, 1.0) == 0.0
 
     def test_cir_direct_value(self):
         d = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)
-        assert eval_drift(d, 0.3, 2.0) == pytest.approx(-1.5, abs=1e-15)
+        assert d.b(0.3, 2.0) == pytest.approx(-1.5, abs=1e-15)
 
     def test_tsb_symmetry_point(self):
         d = symmetric_tsb()
-        assert eval_drift(d, 0.0, 0.0) == 0.0
+        assert d.b(0.0, 0.0) == 0.0
 
     def test_tsb_matches_rational_form(self):
         # -kappa*y/(1-y^2) == (kappa/2) * (1/(y+1) - 1/(1-y))
         kappa = 1.7
         d = symmetric_tsb(kappa=kappa)
         for y in np.linspace(-0.9, 0.9, 19):
-            assert eval_drift(d, 0.5, y) == pytest.approx(
+            assert d.b(0.5, y) == pytest.approx(
                 -kappa * y / (1.0 - y * y), rel=1e-12)
 
     def test_domain_error_not_nan(self):
         d = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)
         with pytest.raises(DomainError):
-            eval_drift(d, 0.0, 0.0)
+            d.b(0.0, 0.0)
         with pytest.raises(DomainError):
-            eval_drift(d, 0.0, -1.0)
+            d.b(0.0, -1.0)
         t = symmetric_tsb()
         with pytest.raises(DomainError):
-            eval_drift(t, 0.0, 1.0)
+            t.b(0.0, 1.0)
 
     def test_power_sandwich_formula(self):
         d = moving_barrier_drift()
         t, y = 0.2, 1.2
         lo = math.sin(10 * t)
-        assert eval_drift(d, t, y) == pytest.approx(
+        assert d.b(t, y) == pytest.approx(
             1.0 / (y - lo) ** 4 - 1.0 / (lo + 2.0 - y) ** 4, rel=1e-12)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from sandwiched_sde.model import (
     BoundFunctions,
+    DomainError,
     DriftSpec,
     SandwichConfig,
     cir_drift,
@@ -21,16 +22,13 @@ from sandwiched_sde.model import (
 from sandwiched_sde.noise import NoisePath, TimeGrid, brownian, fbm, generate_noise
 from sandwiched_sde import solver
 from sandwiched_sde.solver import (
-    ImplicitStepEquation,
     SimulatedPath,
     StepError,
-    cardano_solve,
     check_sandwich,
     implicit_step_cir,
     implicit_step_generic,
     implicit_step_tsb,
     simulate,
-    tsb_coefficients,
 )
 
 
@@ -66,25 +64,28 @@ def symmetric_tsb(kappa=1.0, kappa3=0.0, lam=0.7):
     return tsb_drift(kappa / 2.0, kappa / 2.0, kappa3, bounds)
 
 
+CIR_11 = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)
+
+
 class TestImplicitStepCir:
     def test_equilibrium_is_fixed_point(self):
         # y = z + (1/y - y)*delta has the root y = 1 when z = 1.
-        assert implicit_step_cir(1.0, 0.25, 0.0, 1.0, 1.0) == pytest.approx(
+        assert implicit_step_cir(CIR_11, 0.5, 0.25, 1.0 + 0.0) == pytest.approx(
             1.0, abs=1e-15)
 
     def test_closed_form_value(self):
-        got = implicit_step_cir(0.4, 0.1, 0.1, 1.0, 1.0)
+        got = implicit_step_cir(CIR_11, 0.5, 0.1, 0.4 + 0.1)
         assert got == pytest.approx((0.5 + math.sqrt(0.69)) / 2.2, rel=1e-15)
 
     def test_positive_under_extreme_shock(self):
-        y = implicit_step_cir(1.0, 0.1, -100.0, 1.0, 1.0)
+        y = implicit_step_cir(CIR_11, 0.5, 0.1, 1.0 - 100.0)
         assert y > 0.0
 
     @pytest.mark.parametrize("dz", [-1e5, -1e8])
     def test_large_negative_shock_has_no_cancellation(self, dz):
         # The textbook root (z + sqrt(z^2 + c)) / (2s) cancels for z << 0:
         # it gave 1.004e-9 at dz = -1e5 and exactly 0.0 at dz = -1e8.
-        got = implicit_step_cir(0.0, 1e-4, dz, 1.0, 1.0)
+        got = implicit_step_cir(CIR_11, 0.5, 1e-4, 0.0 + dz)
         assert got == pytest.approx(exact_cir_step(0.0, 1e-4, dz, 1.0, 1.0),
                                     rel=1e-14, abs=0.0)
 
@@ -102,15 +103,24 @@ class TestImplicitStepCir:
                 drift_cache[key] = cir_drift(kappa1, kappa2, 1.0, 0.7, 1.0)
             drift = drift_cache[key]
             rhs = y_prev + dz
-            closed = implicit_step_cir(y_prev, delta, dz, kappa1, kappa2)
+            closed = implicit_step_cir(drift, 0.5, delta, rhs)
             oracle = bisection_oracle(drift, 0.5, delta, rhs,
                                       lo=1e-14, hi=abs(rhs) + 10.0)
             assert closed == pytest.approx(oracle, abs=1e-10, rel=1e-10)
 
 
+def tsb_cubic(z, delta, k1, k2, k3, phi, psi):
+    """Monic cubic coefficients (B2, B1, B0) of the TSB step with rhs z,
+    from the z-independent parts the kernel computes on the grid."""
+    scale = solver._tsb_scale(delta, k3)
+    (c2,), (c1,), (e1,), (c0,), (e0,) = solver._tsb_affine(
+        np.array([phi]), np.array([psi]), delta, k1, k2, scale)
+    return c2 - z / scale, c1 + e1 * z, c0 - e0 * z
+
+
 class TestTsbCoefficients:
     def test_symmetric_resting_state(self):
-        b2, b1, b0 = tsb_coefficients(0.0, 0.0, 0.1, 0.5, 0.5, 0.0, -1.0, 1.0)
+        b2, b1, b0 = tsb_cubic(0.0, 0.1, 0.5, 0.5, 0.0, -1.0, 1.0)
         assert (b2, b0) == (0.0, 0.0)
         assert b1 == pytest.approx(-1.1, rel=1e-15)
 
@@ -121,7 +131,7 @@ class TestTsbCoefficients:
             phi = rng.uniform(-2.0, 0.0)
             psi = phi + rng.uniform(0.5, 2.0)
             z = rng.normal()
-            b2, b1, b0 = tsb_coefficients(z, 0.0, 0.0, 1.0, 1.0, 0.3, phi, psi)
+            b2, b1, b0 = tsb_cubic(z, 0.0, 1.0, 1.0, 0.3, phi, psi)
             assert b2 == pytest.approx(-(phi + psi + z), rel=1e-13, abs=1e-13)
             assert b1 == pytest.approx(phi * psi + (phi + psi) * z,
                                        rel=1e-13, abs=1e-13)
@@ -138,7 +148,7 @@ class TestTsbCoefficients:
             delta = rng.uniform(0.0, 0.3)
             k1, k2 = rng.uniform(0.1, 2.0, 2)
             k3 = rng.uniform(-1.0, 1.0)
-            b2, b1, b0 = tsb_coefficients(z, 0.0, delta, k1, k2, k3, phi, psi)
+            b2, b1, b0 = tsb_cubic(z, delta, k1, k2, k3, phi, psi)
             for y in rng.uniform(phi - 1.0, psi + 1.0, 4):
                 implicit = ((y - z) * (y - phi) * (psi - y)
                             - delta * k1 * (psi - y)
@@ -149,64 +159,89 @@ class TestTsbCoefficients:
                     -implicit / (1.0 + delta * k3), rel=1e-10, abs=1e-10)
 
     def test_rejects_degenerate_scale(self):
+        # delta = 1 with kappa3 = -1 makes 1 + delta*kappa3 vanish.
         with pytest.raises(StepError):
-            tsb_coefficients(0.0, 0.0, 1.0, 0.5, 0.5, -1.0, -1.0, 1.0)
+            implicit_step_tsb(symmetric_tsb(kappa3=-1.0), 0.5, 1.0, 0.0)
+
+
+def depressed(b2, b1, b0):
+    """(p, q, disc, shift) of y^3 + b2 y^2 + b1 y + b0 in the kernel's
+    shift form y = u - b2/3, u^3 + 3p u + 2q = 0, disc = p^3 + q^2."""
+    shift = b2 / 3.0
+    p = b1 / 3.0 - shift * shift
+    q = shift * (shift * shift - 0.5 * b1) + 0.5 * b0
+    return p, q, p * p * p + q * q, shift
+
+
+def one_real_root(b2, b1, b0):
+    """The real root and complex pair of a monic cubic with disc >= 0,
+    by the kernel's round-off branch."""
+    p, q, disc, shift = depressed(b2, b1, b0)
+    assert disc >= 0.0
+    r0, pair, h = solver._one_real_root(p, q, disc, shift)
+    return complex(r0), complex(pair, h), complex(pair, -h)
 
 
 class TestCardanoSolve:
-    @staticmethod
-    def assert_matches_companion(b2, b1, b0, rel=1e-8):
-        ours = cardano_solve(b2, b1, b0)
-        ref = np.roots([1.0, b2, b1, b0])
-        scale = max(1.0, max(abs(r) for r in ref))
-        for r in ref:
-            assert min(abs(r - o) for o in ours) <= rel * scale
-
     def test_three_simple_roots(self):
-        roots = sorted(r.real for r in cardano_solve(0.0, -1.0, 0.0))
-        assert roots == pytest.approx([-1.0, 0.0, 1.0], abs=1e-14)
-        assert all(abs(r.imag) < 1e-14 for r in cardano_solve(0.0, -1.0, 0.0))
-
-    def test_triple_root(self):
-        roots = cardano_solve(-3.0, 3.0, -1.0)
-        for r in roots:
-            assert r == pytest.approx(1.0, abs=1e-5)
+        # For delta > 0 the step cubic has one real root below phi, one
+        # inside and one above psi: the trigonometric branch keeps the
+        # middle one.
+        drift = symmetric_tsb(kappa3=0.25)
+        for z in (-3.0, -0.75, 0.0, 0.2, 0.9, 5.0):
+            coefs = tsb_cubic(z, 0.1, 0.5, 0.5, 0.25, -1.0, 1.0)
+            assert depressed(*coefs)[2] < 0.0
+            roots = np.sort(np.roots([1.0, *coefs]).real)
+            assert roots[0] < -1.0 < roots[1] < 1.0 < roots[2]
+            assert implicit_step_tsb(drift, 0.5, 0.1, z) == pytest.approx(
+                roots[1], abs=1e-14)
 
     def test_single_real_root(self):
         # y^3 + y = 0 has roots 0, +-i.
-        roots = cardano_solve(0.0, 1.0, 0.0)
-        reals = sorted(roots, key=lambda r: abs(r.imag))
-        assert reals[0] == pytest.approx(0.0, abs=1e-14)
-        assert reals[1].imag == pytest.approx(1.0, abs=1e-14) or \
-            reals[1].imag == pytest.approx(-1.0, abs=1e-14)
+        r0, upper, lower = one_real_root(0.0, 1.0, 0.0)
+        assert r0 == pytest.approx(0.0, abs=1e-14)
+        assert upper.real == pytest.approx(0.0, abs=1e-14)
+        assert abs(upper.imag) == pytest.approx(1.0, abs=1e-14)
+        assert lower == upper.conjugate()
+
+    def test_triple_root(self):
+        for r in one_real_root(-3.0, 3.0, -1.0):
+            assert r == pytest.approx(1.0, abs=1e-5)
 
     def test_against_companion_matrix(self):
         rng = np.random.default_rng(99)
-        for _ in range(300):
+        checked = 0
+        while checked < 300:
             b2, b1, b0 = rng.uniform(-5.0, 5.0, 3)
-            self.assert_matches_companion(b2, b1, b0)
+            if depressed(b2, b1, b0)[2] < 0.0:
+                continue
+            ours = one_real_root(b2, b1, b0)
+            ref = np.roots([1.0, b2, b1, b0])
+            scale = max(1.0, max(abs(r) for r in ref))
+            for r in ref:
+                assert min(abs(r - o) for o in ours) <= 1e-8 * scale
+            checked += 1
 
     def test_residual_small(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             b2, b1, b0 = rng.uniform(-3.0, 3.0, 3)
-            for r in cardano_solve(b2, b1, b0):
+            if depressed(b2, b1, b0)[2] < 0.0:
+                continue
+            for r in one_real_root(b2, b1, b0):
                 val = r ** 3 + b2 * r ** 2 + b1 * r + b0
                 assert abs(val) < 1e-9 * max(1.0, abs(r)) ** 3
 
 
 class TestImplicitStepTsb:
     def test_symmetric_zero(self):
-        eq = ImplicitStepEquation(t_next=0.5, delta=0.1, rhs=0.0,
-                                  drift=symmetric_tsb())
-        assert implicit_step_tsb(eq) == pytest.approx(0.0, abs=1e-14)
+        assert implicit_step_tsb(symmetric_tsb(), 0.5, 0.1, 0.0) == \
+            pytest.approx(0.0, abs=1e-14)
 
     def test_stays_inside_for_extreme_shocks(self):
         drift = symmetric_tsb()
         for rhs in (-10.0, -1.0, 1.0, 10.0):
-            eq = ImplicitStepEquation(t_next=0.5, delta=0.05, rhs=rhs,
-                                      drift=drift)
-            y = implicit_step_tsb(eq)
+            y = implicit_step_tsb(drift, 0.5, 0.05, rhs)
             assert -1.0 < y < 1.0
 
     def test_agrees_with_bisection_oracle(self):
@@ -215,9 +250,7 @@ class TestImplicitStepTsb:
         for _ in range(1000):
             delta = rng.uniform(0.001, 0.2)
             rhs = rng.normal(scale=2.0)
-            eq = ImplicitStepEquation(t_next=0.5, delta=delta, rhs=rhs,
-                                      drift=drift)
-            got = implicit_step_tsb(eq)
+            got = implicit_step_tsb(drift, 0.5, delta, rhs)
             oracle = bisection_oracle(drift, 0.5, delta, rhs,
                                       lo=-1.0 + 1e-14, hi=1.0 - 1e-14)
             assert got == pytest.approx(oracle, abs=1e-10, rel=1e-10)
@@ -230,10 +263,8 @@ class TestImplicitStepGeneric:
                           c1=1.0, p=2.0, c2=1.0, gamma=1.0, y_star=1.0,
                           c3=1.0, kind="one-sided", bounds=bounds)
         for rhs in (-3.0, 0.0, 0.3, 12.5):
-            eq = ImplicitStepEquation(t_next=0.5, delta=0.1, rhs=rhs,
-                                      drift=drift)
-            assert implicit_step_generic(eq) == pytest.approx(
-                rhs, abs=1e-12 * max(1.0, abs(rhs)))
+            y, _ = implicit_step_generic(drift, 0.5, 0.1, rhs)
+            assert y == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     def test_matches_cir_closed_form(self):
         drift = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)
@@ -242,10 +273,8 @@ class TestImplicitStepGeneric:
             delta = rng.uniform(0.001, 0.2)
             y_prev = rng.uniform(0.05, 4.0)
             dz = rng.normal()
-            eq = ImplicitStepEquation(t_next=0.5, delta=delta,
-                                      rhs=y_prev + dz, drift=drift)
-            generic = implicit_step_generic(eq)
-            closed = implicit_step_cir(y_prev, delta, dz, 1.0, 1.0)
+            generic, _ = implicit_step_generic(drift, 0.5, delta, y_prev + dz)
+            closed = implicit_step_cir(drift, 0.5, delta, y_prev + dz)
             assert generic == pytest.approx(closed, abs=1e-10, rel=1e-10)
 
     def test_matches_tsb_cardano(self):
@@ -254,26 +283,33 @@ class TestImplicitStepGeneric:
         for _ in range(300):
             delta = rng.uniform(0.001, 0.2)
             rhs = rng.normal(scale=1.5)
-            eq = ImplicitStepEquation(t_next=0.5, delta=delta, rhs=rhs,
-                                      drift=drift)
-            assert implicit_step_generic(eq) == pytest.approx(
-                implicit_step_tsb(eq), abs=1e-10, rel=1e-10)
+            generic, _ = implicit_step_generic(drift, 0.5, delta, rhs)
+            assert generic == pytest.approx(
+                implicit_step_tsb(drift, 0.5, delta, rhs), abs=1e-10, rel=1e-10)
 
     def test_monotone_in_rhs(self):
         drift = cir_drift(2.0, 0.5, 2.0, 0.5, 1.0)
         ys = []
         for rhs in np.linspace(-3.0, 3.0, 13):
-            eq = ImplicitStepEquation(t_next=0.3, delta=0.05, rhs=rhs,
-                                      drift=drift)
-            ys.append(implicit_step_generic(eq))
+            ys.append(implicit_step_generic(drift, 0.3, 0.05, rhs)[0])
         assert all(a < b for a, b in zip(ys, ys[1:]))
         assert all(y > 0.0 for y in ys)
 
     def test_rejects_bad_tolerance(self):
-        drift = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)
-        eq = ImplicitStepEquation(t_next=0.5, delta=0.1, rhs=1.0, drift=drift)
         with pytest.raises(ValueError):
-            implicit_step_generic(eq, tol=0.0)
+            implicit_step_generic(CIR_11, 0.5, 0.1, 1.0, tol=0.0)
+
+    def test_returns_checked_residual(self):
+        # The residual is |g(y) - rhs| as the contract checked it, with the
+        # bits of the expression simulate() reports.
+        rng = np.random.default_rng(23)
+        for drift, t in ((CIR_11, 0.5), (symmetric_tsb(kappa3=0.25), 0.5),
+                         (sin_barrier_tsb(), 0.37)):
+            lo = float(drift.bounds.phi(t))
+            for rhs in rng.normal(lo + 1.0, 2.0, 50):
+                y, resid = implicit_step_generic(drift, t, 0.05, rhs)
+                assert resid == abs(y - drift.b(t, y) * 0.05 - rhs)
+                assert resid <= 1e-12 * max(1.0, abs(rhs))
 
 
 def zero_noise(grid):
@@ -350,6 +386,36 @@ class TestSimulate:
             assert np.all(path.values > np.sin(10.0 * tt))
             assert np.all(path.values < np.sin(10.0 * tt) + 2.0)
 
+    @pytest.mark.parametrize("stepper", ["closed_form_cir", "cardano_tsb",
+                                         "bracketed_generic", "magic"])
+    def test_rejects_route_labels_as_stepper(self, stepper):
+        # Route labels name what ran; the input is auto, closed or generic.
+        cfg = SandwichConfig(1.0, CIR_11, 8)
+        with pytest.raises(ValueError, match="unknown stepper"):
+            simulate(cfg, zero_noise(cfg.grid), stepper=stepper)
+
+    def test_drift_domain_error_names_the_step(self):
+        # A one-sided drift defined only up to y = 3: the third step's
+        # bracket search evaluates it above 3.
+        def b(t, y):
+            if y > 3.0:
+                raise DomainError(f"y={y} above 3")
+            return 1.0 / y
+
+        def db_dy(t, y):
+            if y > 3.0:
+                raise DomainError(f"y={y} above 3")
+            return -1.0 / (y * y)
+
+        bounds = BoundFunctions(constant_bound(0.0), None, 0.5, 0.0, 1.0)
+        drift = DriftSpec(b=b, db_dy=db_dy, c1=1.0, p=2.0, c2=1.0, gamma=1.0,
+                          y_star=1.0, c3=1.0, kind="one-sided", bounds=bounds)
+        cfg = SandwichConfig(1.0, drift, 8)
+        values = np.array([0.0, 0.1, 0.2, 4.2, 4.2, 4.2, 4.2, 4.2, 4.2])
+        noise = NoisePath(grid=cfg.grid, values=values, seed=0, spec=brownian())
+        with pytest.raises(StepError, match=r"^step 3 "):
+            simulate(cfg, noise, stepper="generic")
+
     def test_closed_stepper_unavailable_for_power_gamma(self):
         bounds = BoundFunctions(constant_bound(-1.0), constant_bound(1.0),
                                 0.4, 0.0, 1.0)
@@ -377,20 +443,17 @@ def reference_step(cfg, t_next, y_prev, dz, tol=1e-12):
     generic solver whenever it misses the residual contract.
     """
     drift = cfg.drift
-    params = drift.param_dict
     delta = cfg.mesh
     z = y_prev + dz
-    eq = ImplicitStepEquation(t_next=t_next, delta=delta, rhs=z, drift=drift)
     if drift.family == "cir":
-        y = implicit_step_cir(y_prev, delta, dz,
-                              params["kappa1"], params["kappa2"])
+        y = implicit_step_cir(drift, t_next, delta, z)
     else:
         try:
-            y = implicit_step_tsb(eq)
+            y = implicit_step_tsb(drift, t_next, delta, z)
         except StepError:
-            y = implicit_step_generic(eq, tol=tol)
+            y, _ = implicit_step_generic(drift, t_next, delta, z, tol=tol)
     if abs(y - drift.b(t_next, y) * delta - z) > tol * max(1.0, abs(z)):
-        y = implicit_step_generic(eq, tol=tol)
+        y, _ = implicit_step_generic(drift, t_next, delta, z, tol=tol)
     return y
 
 
@@ -445,9 +508,9 @@ class TestClosedFormLoop:
         polished = []
         generic = solver.implicit_step_generic
 
-        def counting(eq, tol=solver.DEFAULT_TOL):
-            polished.append(eq.t_next)
-            return generic(eq, tol=tol)
+        def counting(drift, t_next, delta, rhs, tol=solver.DEFAULT_TOL):
+            polished.append(t_next)
+            return generic(drift, t_next, delta, rhs, tol=tol)
 
         monkeypatch.setattr(solver, "implicit_step_generic", counting)
         cfg = SandwichConfig(y0, drift, 1024)
@@ -475,13 +538,12 @@ class TestClosedFormLoop:
                                 0.7, 0.0, 0.25)
         drift = tsb_drift(0.5, 0.5, 0.0, bounds)
         cfg = SandwichConfig(0.5, drift, 1)
-        eq = ImplicitStepEquation(t_next=0.25, delta=0.25, rhs=0.5 - 1e8,
-                                  drift=drift)
         with pytest.raises(StepError):
-            implicit_step_tsb(eq)
+            implicit_step_tsb(drift, 0.25, 0.25, 0.5 - 1e8)
         path = simulate(cfg, one_step_noise(cfg, -1e8))
         assert path.stepper == "cardano_tsb"
-        assert path.values[1] == implicit_step_generic(eq)
+        assert path.values[1] == implicit_step_generic(drift, 0.25, 0.25,
+                                                       0.5 - 1e8)[0]
         assert 0.0 < path.values[1] < 1.0
 
     def test_out_of_domain_value_names_first_bad_step(self):
