@@ -85,22 +85,19 @@ class ConvergenceReport:
     inverse_distance_slope: Optional[float]
 
     def to_dict(self) -> dict:
+        def rows(per_mesh):
+            return [{"N": m.n, "delta": m.delta, "mean_err": m.mean_error_r,
+                     "stderr": m.stderr} for m in per_mesh]
+
         return {
             "r": self.r,
             "lambda_expected": self.lam_expected,
             "slope": self.slope,
             "slope_stderr": self.slope_stderr,
-            "per_mesh": [
-                {"N": m.n, "delta": m.delta, "mean_err": m.mean_error_r,
-                 "stderr": m.stderr}
-                for m in self.per_mesh
-            ],
+            "per_mesh": rows(self.per_mesh),
             "inverse_distance_slope": self.inverse_distance_slope,
-            "inverse_distance": None if self.inverse_distance is None else [
-                {"N": m.n, "delta": m.delta, "mean_err": m.mean_error_r,
-                 "stderr": m.stderr}
-                for m in self.inverse_distance
-            ],
+            "inverse_distance": None if self.inverse_distance is None
+            else rows(self.inverse_distance),
         }
 
     def to_json(self) -> str:
@@ -201,29 +198,26 @@ def run_convergence_study(spec: ConvergenceStudySpec) -> ConvergenceReport:
                 f"path with seed {seed} failed during the study") from exc
 
     deltas = np.array([spec.config.horizon / n for n in spec.mesh_list])
-    report_rows, inv_rows = [], []
-    for raw, rows in ((err, report_rows), (inv_err, inv_rows)):
-        powered = raw ** spec.r
-        means = powered.mean(axis=0)
+    powered = [err ** spec.r, inv_err ** spec.r]
+    means = [p.mean(axis=0) for p in powered]
+    rows = []
+    for p, mean in zip(powered, means):
         if spec.paths > 1:
-            stderrs = powered.std(axis=0, ddof=1) / math.sqrt(spec.paths)
+            stderrs = p.std(axis=0, ddof=1) / math.sqrt(spec.paths)
         else:
             stderrs = [None] * n_mesh
-        for j, n in enumerate(spec.mesh_list):
-            rows.append(MeshErrors(
-                n=n, delta=deltas[j], mean_error_r=float(means[j]),
-                stderr=None if stderrs[j] is None else float(stderrs[j])))
-    slope = _fit_slope(deltas, (err ** spec.r).mean(axis=0), spec.r)
-    inv_slope = _fit_slope(deltas, (inv_err ** spec.r).mean(axis=0), spec.r)
-    stderr = _jackknife_slope_stderr(deltas, err ** spec.r, spec.r)
+        rows.append(tuple(
+            MeshErrors(n=n, delta=deltas[j], mean_error_r=float(mean[j]),
+                       stderr=None if stderrs[j] is None else float(stderrs[j]))
+            for j, n in enumerate(spec.mesh_list)))
     return ConvergenceReport(
-        per_mesh=tuple(report_rows),
-        slope=slope,
-        slope_stderr=stderr,
+        per_mesh=rows[0],
+        slope=_fit_slope(deltas, means[0], spec.r),
+        slope_stderr=_jackknife_slope_stderr(deltas, powered[0], spec.r),
         r=spec.r,
         lam_expected=spec.lam_expected,
-        inverse_distance=tuple(inv_rows),
-        inverse_distance_slope=inv_slope,
+        inverse_distance=rows[1],
+        inverse_distance_slope=_fit_slope(deltas, means[1], spec.r),
     )
 
 

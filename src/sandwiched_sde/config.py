@@ -68,7 +68,19 @@ def _number(data: dict, section: str, key: str, default=None):
         raise ConfigError(f"{section}.{key} is required")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{section}.{key} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{section}.{key} is out of range") from None
+
+
+def _integer(data: dict, section: str, key: str, default=None,
+             positive: bool = True) -> int:
+    value = _number(data, section, key, default)
+    if not value.is_integer() or (positive and value < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ConfigError(f"{section}.{key} must be {kind}")
+    return int(value)
 
 
 def _bound_shape(spec: dict, where: str, lam: float, horizon: float):
@@ -178,11 +190,9 @@ def parse_config(data: dict) -> RunConfig:
     run = _section(data["run"], "run",
                    {"T", "N", "seed", "paths", "stepper", "tol"}, {"T", "N"})
     horizon = _number(run, "run", "T")
-    n = int(_number(run, "run", "N"))
-    if n < 1:
-        raise ConfigError("run.N must be a positive integer")
-    seed = int(_number(run, "run", "seed", 0))
-    paths = int(_number(run, "run", "paths", 1))
+    n = _integer(run, "run", "N")
+    seed = _integer(run, "run", "seed", 0, positive=False)
+    paths = _integer(run, "run", "paths", 1)
     stepper = run.get("stepper", "auto")
     if stepper not in ("auto", "closed", "generic"):
         raise ConfigError("run.stepper must be auto, closed, or generic")

@@ -416,14 +416,9 @@ def sample_path_fast_fbm(hurst: float, grid: TimeGrid, seed: int) -> NoisePath:
                      spec=fbm(hurst) if hurst != 0.5 else brownian())
 
 
-def generate_noise(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
-                   method: str = "auto") -> NoisePath:
+def generate_noise(spec: GaussianDriverSpec, grid: TimeGrid, seed: int) -> NoisePath:
     """Dispatch to the fast fBm sampler when possible, Cholesky otherwise."""
-    if method not in ("auto", "cholesky", "circulant"):
-        raise ValueError(f"unknown sampling method {method!r}")
-    if method == "cholesky":
-        return sample_path(spec, grid, seed)
-    if method == "circulant" or spec.kind in ("brownian", "fbm"):
+    if spec.kind in ("brownian", "fbm"):
         hurst = 0.5 if spec.kind == "brownian" else spec.hurst
         return sample_path_fast_fbm(hurst, grid, seed)
     return sample_path(spec, grid, seed)

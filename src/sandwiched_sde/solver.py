@@ -127,26 +127,24 @@ def _tsb_affine(phi: np.ndarray, psi: np.ndarray, delta: float, kappa1: float,
             (prod / scale).tolist())
 
 
-_REAL_ROOT_TOL = 1e-9
-_HALF_SQRT3 = math.sqrt(3.0) / 2.0
 _TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 _FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
 
 
-def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float,
-               no_root) -> list:
+def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float) -> list:
     """Implicit TSB steps from y over the increments dz.
 
     ``coefs`` are the lists of ``_tsb_affine`` and phi, psi the barrier
     lists of the same steps. Each step solves the monic cubic
     y^3 + B2 y^2 + B1 y + B0 of z = y_prev + dz by Cardano in shift
     form: y = u - B2/3 gives the depressed cubic u^3 + 3p u + 2q = 0,
-    solved in trigonometric form when its three roots are real and
-    distinct and by real cube roots otherwise. The step keeps the real
-    root strictly inside (phi, psi); a root counts as
-    real when its imaginary part is at most _REAL_ROOT_TOL * (1 + |real
-    part|). A step without exactly one such root takes
-    ``no_root(i, z)``, with i its index in dz.
+    solved in trigonometric form. Its three roots are real and distinct:
+    the step equation times (y - phi)(psi - y) is a cubic F with
+    F(phi) = -delta*kappa1*(psi - phi) < 0 < delta*kappa2*(psi - phi)
+    = F(psi) and leading coefficient -scale < 0, so F has one root below
+    phi, one inside (phi, psi) and one above psi. A step with
+    p^3 + q^2 >= 0, or without exactly one root inside, has lost its
+    roots to round-off: the returned values stop before it.
     """
     sqrt, acos, cos = math.sqrt, math.acos, math.cos
     turn1, turn2 = _TWO_THIRDS_PI, _FOUR_THIRDS_PI
@@ -159,54 +157,32 @@ def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float,
         shift = b2 / 3.0
         p = b1 / 3.0 - shift * shift
         q = shift * (shift * shift - 0.5 * b1) + 0.5 * (a0 - f0 * z)
-        disc = p * p * p + q * q
-        if disc < 0.0:
-            # Three distinct real roots: the trigonometric form.
-            m = sqrt(-p)
-            arg = q / (p * m)
-            if arg > 1.0:
-                arg = 1.0
-            elif arg < -1.0:
-                arg = -1.0
-            t3 = acos(arg) / 3.0
-            m += m
-            r0 = m * cos(t3) - shift
-            r1 = m * cos(t3 - turn1) - shift
-            r2 = m * cos(t3 - turn2) - shift
-            # r0 >= r1 >= r2, and the middle root is the one inside
-            # unless round-off decides otherwise.
-            if lo < r1 < hi:
-                if lo < r0 < hi or lo < r2 < hi:
-                    y = no_root(len(out), z)
-                else:
-                    y = r1
-            elif (lo < r0 < hi) != (lo < r2 < hi):
-                y = r0 if lo < r0 < hi else r2
-            else:
-                y = no_root(len(out), z)
+        if p * p * p + q * q >= 0.0:
+            return out
+        m = sqrt(-p)
+        arg = q / (p * m)
+        if arg > 1.0:
+            arg = 1.0
+        elif arg < -1.0:
+            arg = -1.0
+        t3 = acos(arg) / 3.0
+        m += m
+        r0 = m * cos(t3) - shift
+        r1 = m * cos(t3 - turn1) - shift
+        r2 = m * cos(t3 - turn2) - shift
+        # r0 >= r1 >= r2, and the middle root is the one inside unless
+        # round-off decides otherwise.
+        inside0, inside2 = lo < r0 < hi, lo < r2 < hi
+        if lo < r1 < hi:
+            if inside0 or inside2:
+                return out
+            y = r1
+        elif inside0 != inside2:
+            y = r0 if inside0 else r2
         else:
-            r0, pair, h = _one_real_root(p, q, disc, shift)
-            real_pair = abs(h) <= _REAL_ROOT_TOL * (1.0 + abs(pair))
-            if lo < r0 < hi and not (real_pair and lo < pair < hi):
-                y = r0
-            else:
-                y = no_root(len(out), z)
+            return out
         append(y)
     return out
-
-
-def _one_real_root(p: float, q: float, disc: float, shift: float) -> tuple:
-    """Roots r0 and pair +- h*i of the cubic when disc = p^3 + q^2 >= 0."""
-    sd = math.sqrt(disc)
-    alpha = _cbrt(sd - q)
-    # Pick the cube root beta with alpha*beta = -p.
-    beta = -p / alpha if alpha != 0.0 else _cbrt(-q - sd)
-    s = alpha + beta
-    return s - shift, -0.5 * s - shift, _HALF_SQRT3 * (alpha - beta)
-
-
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
 def implicit_step_tsb(drift: DriftSpec, t_next: float, delta: float,
@@ -222,14 +198,12 @@ def implicit_step_tsb(drift: DriftSpec, t_next: float, delta: float,
     scale = _tsb_scale(delta, params["kappa3"])
     coefs = _tsb_affine(np.array([phi_next]), np.array([psi_next]), delta,
                         params["kappa1"], params["kappa2"], scale)
-
-    def no_root(i, z):
+    out = _tsb_steps(rhs, [0.0], coefs, [phi_next], [psi_next], scale)
+    if not out:
         raise StepError(
             f"expected exactly one real root in ({phi_next}, {psi_next}) "
-            f"for rhs={z}; mesh condition likely violated")
-
-    return _tsb_steps(rhs, [0.0], coefs, [phi_next], [psi_next], scale,
-                      no_root)[0]
+            f"for rhs={rhs}; mesh condition likely violated")
+    return out[0]
 
 
 _BRACKET_BUDGET = 64
@@ -384,15 +358,14 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
     """The closed-form routes: a loop on Python floats, then array checks.
 
     Barriers and constants are evaluated once per path, and the TSB
-    cubic's z-independent coefficients with numpy on the grid, in
-    windows of at most ``_STEP_WINDOW`` steps that one fused kernel then
-    steps through. The residual contract is checked with one array call
-    of ``drift.b`` per window of steps, and the first window is the
-    whole path. The first step k of a window that misses the contract is
-    polished by the generic solver; the closed form then resumes at
-    k + 1 over a short window that doubles while no step fails. A TSB
-    step whose cubic has no unique root inside the barriers is solved by
-    the generic solver.
+    cubic's z-independent coefficients with numpy on the grid. The path
+    is stepped in windows of at most ``_STEP_WINDOW`` steps: one fused
+    kernel steps through a window, and one array call of ``drift.b``
+    checks the residual contract on the steps it took. The window's
+    first failing step k, a contract miss or the TSB step whose cubic
+    lost its roots to round-off, is solved by the generic solver; the
+    closed form then resumes at k + 1 over ``_RESUME_WINDOW`` steps, a
+    window that doubles up to ``_STEP_WINDOW`` while no step fails.
     """
     drift = config.drift
     params = drift.param_dict
@@ -413,46 +386,37 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
 
         def steps(y, w0, w1):
             lo, hi = phi[w0 + 1:w1 + 1], psi[w0 + 1:w1 + 1]
-
-            def generic(i, z):
-                k = w0 + 1 + i
-                return _generic_step(drift, float(tt[k]), delta, z, tol, k)[0]
-
             return _tsb_steps(y, dz[w0:w1].tolist(),
                               _tsb_affine(lo, hi, delta, params["kappa1"],
                                           params["kappa2"], scale),
-                              lo.tolist(), hi.tolist(), scale, generic)
+                              lo.tolist(), hi.tolist(), scale)
 
-    def advance(start, stop):
-        y = float(values[start])
-        for w0 in range(start, stop, _STEP_WINDOW):
-            w1 = min(w0 + _STEP_WINDOW, stop)
-            out = steps(y, w0, w1)
-            values[w0 + 1:w1 + 1] = out
-            y = out[-1]
-
-    start, window = 0, n
+    start, window = 0, _STEP_WINDOW
     while start < n:
         stop = min(n, start + window)
-        advance(start, stop)
-        t = tt[start + 1:stop + 1]
-        y = values[start + 1:stop + 1]
-        z = values[start:stop] + dz[start:stop]
-        try:
-            resid = np.abs(y - drift.b(t, y) * delta - z)
-        except DomainError as exc:
-            k = start + 1 + int(np.argmin(_strictly_inside(drift, t, y)))
-            raise StepError(f"step {k} (t={tt[k]:.6g}): {exc}") from exc
-        ok = resid <= tol * np.maximum(1.0, np.abs(z))  # False on NaN
-        j = int(np.argmin(ok))
-        if ok[j]:
-            residuals[start + 1:stop + 1] = resid
-            start, window = stop, 2 * window
+        out = steps(float(values[start]), start, stop)
+        k = start + len(out)  # the last step the kernel took
+        values[start + 1:k + 1] = out
+        if out:
+            t = tt[start + 1:k + 1]
+            y = values[start + 1:k + 1]
+            z = values[start:k] + dz[start:k]
+            try:
+                resid = np.abs(y - drift.b(t, y) * delta - z)
+            except DomainError as exc:
+                k = start + 1 + int(np.argmin(_strictly_inside(drift, t, y)))
+                raise StepError(f"step {k} (t={tt[k]:.6g}): {exc}") from exc
+            ok = resid <= tol * np.maximum(1.0, np.abs(z))  # False on NaN
+            j = int(np.argmin(ok))
+            if not ok[j]:
+                k = start + j
+            residuals[start + 1:k + 1] = resid[:k - start]
+        if k == stop:
+            start, window = stop, min(2 * window, _STEP_WINDOW)
             continue
-        k = start + 1 + j
-        residuals[start + 1:k] = resid[:j]
-        values[k], residuals[k] = _generic_step(drift, float(t[j]), delta,
-                                                float(z[j]), tol, k)
+        k += 1
+        values[k], residuals[k] = _generic_step(
+            drift, float(tt[k]), delta, float(values[k - 1] + dz[k - 1]), tol, k)
         start, window = k, _RESUME_WINDOW
     return values, residuals
 

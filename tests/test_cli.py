@@ -131,6 +131,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="lambda"):
             parse_config(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("N", 100.7), ("N", 0), ("N", float("inf")), ("N", 10 ** 400),
+        ("seed", 1.5), ("seed", float("nan")),
+        ("paths", -2), ("paths", 0), ("paths", 2.5),
+    ])
+    def test_rejects_non_integral_run_counts(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^run\.{key} "):
+            parse_config(cir_config_dict(**{key: value}))
+
+    def test_integral_floats_load_as_ints(self):
+        rc = parse_config(cir_config_dict(N=1e4, seed=-3.0, paths=2.0))
+        assert (rc.config.grid_points, rc.seed, rc.paths) == (10000, -3, 2)
+        assert all(type(v) is int
+                   for v in (rc.config.grid_points, rc.seed, rc.paths))
+
     def test_load_reports_json_position(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"model": }')
@@ -169,6 +184,17 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, data)
         assert main(["validate", "--config", cfg]) == 2
         assert "extra" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run", ['"N": 100.7, "seed": 1.5, "paths": -2',
+                                     '"N": 1e400'])
+    def test_truncated_run_counts_exit_two(self, tmp_path, capsys, run):
+        text = json.dumps(cir_config_dict()).replace('"N": 256', run)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.N" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -314,8 +340,7 @@ class TestNoiseCommand:
         # Same bytes as a separate cold Cholesky sample and covariance dump.
         monkeypatch.setattr(noise, "_factor_cache", {})
         rc = load_config(cfg)
-        path = noise.generate_noise(rc.driver, rc.config.grid, 11,
-                                    method="cholesky")
+        path = noise.sample_path(rc.driver, rc.config.grid, 11)
         assert (out / "noise_11.csv").read_text() == _csv(
             "t,z", (path.grid.points, path.values))
         cov = build(rc.driver, rc.config.grid)

@@ -280,10 +280,6 @@ class TestSpectrumCache:
 
 
 class TestGenerateNoise:
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            generate_noise(brownian(), TimeGrid(1.0, 4), 0, method="exact")
-
     def test_auto_uses_circulant_for_fbm(self):
         grid = TimeGrid(1.0, 64)
         a = generate_noise(fbm(0.7), grid, 3)
@@ -641,7 +637,7 @@ class TestDenseOracle:
         noise_module._factor_cache.pop((spec.cache_key, 1.0, n), None)
         dense = dense_factor(spec, grid)
         for seed in range(5):
-            got = generate_noise(spec, grid, seed, method="cholesky").values
+            got = sample_path(spec, grid, seed).values
             want = dense_sample(dense, seed)
             if n % 256 == 1:
                 # The last block is one row, which numpy computes as a dot

@@ -173,15 +173,6 @@ def depressed(b2, b1, b0):
     return p, q, p * p * p + q * q, shift
 
 
-def one_real_root(b2, b1, b0):
-    """The real root and complex pair of a monic cubic with disc >= 0,
-    by the kernel's round-off branch."""
-    p, q, disc, shift = depressed(b2, b1, b0)
-    assert disc >= 0.0
-    r0, pair, h = solver._one_real_root(p, q, disc, shift)
-    return complex(r0), complex(pair, h), complex(pair, -h)
-
-
 class TestCardanoSolve:
     def test_three_simple_roots(self):
         # For delta > 0 the step cubic has one real root below phi, one
@@ -196,41 +187,25 @@ class TestCardanoSolve:
             assert implicit_step_tsb(drift, 0.5, 0.1, z) == pytest.approx(
                 roots[1], abs=1e-14)
 
-    def test_single_real_root(self):
-        # y^3 + y = 0 has roots 0, +-i.
-        r0, upper, lower = one_real_root(0.0, 1.0, 0.0)
-        assert r0 == pytest.approx(0.0, abs=1e-14)
-        assert upper.real == pytest.approx(0.0, abs=1e-14)
-        assert abs(upper.imag) == pytest.approx(1.0, abs=1e-14)
-        assert lower == upper.conjugate()
-
-    def test_triple_root(self):
-        for r in one_real_root(-3.0, 3.0, -1.0):
-            assert r == pytest.approx(1.0, abs=1e-5)
-
-    def test_against_companion_matrix(self):
-        rng = np.random.default_rng(99)
-        checked = 0
-        while checked < 300:
-            b2, b1, b0 = rng.uniform(-5.0, 5.0, 3)
-            if depressed(b2, b1, b0)[2] < 0.0:
-                continue
-            ours = one_real_root(b2, b1, b0)
-            ref = np.roots([1.0, b2, b1, b0])
-            scale = max(1.0, max(abs(r) for r in ref))
-            for r in ref:
-                assert min(abs(r - o) for o in ours) <= 1e-8 * scale
-            checked += 1
-
-    def test_residual_small(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            b2, b1, b0 = rng.uniform(-3.0, 3.0, 3)
-            if depressed(b2, b1, b0)[2] < 0.0:
-                continue
-            for r in one_real_root(b2, b1, b0):
-                val = r ** 3 + b2 * r ** 2 + b1 * r + b0
-                assert abs(val) < 1e-9 * max(1.0, abs(r)) ** 3
+    @pytest.mark.parametrize("coefs, phi, psi", [
+        # y^3 + y: one real root, 0, and the pair +-i.
+        ((0.0, 1.0, 0.0), -1.0, 1.0),
+        # (y - 1)^3: p = q = 0.
+        ((-3.0, 3.0, -1.0), 0.0, 2.0),
+    ])
+    def test_kernel_stops_where_roots_are_not_three_real(self, coefs, phi,
+                                                         psi):
+        # A first step with the roots -1.05, 0, 1.05 of y^3 - 1.1 y is
+        # taken; the kernel stops before the second, whose cubic has
+        # p^3 + q^2 >= 0.
+        b2, b1, b0 = coefs
+        assert depressed(b2, b1, b0)[2] >= 0.0
+        affine = ([0.0, b2], [-1.1, b1], [0.0, 0.0], [0.0, b0], [0.0, 0.0])
+        out = solver._tsb_steps(0.0, [0.0, 0.0], affine, [-1.0, phi],
+                                [1.0, psi], 1.0)
+        assert len(out) == 1 and abs(out[0]) < 1e-15
+        assert solver._tsb_steps(0.0, [0.0], [c[1:] for c in affine],
+                                 [phi], [psi], 1.0) == []
 
 
 class TestImplicitStepTsb:
@@ -545,6 +520,62 @@ class TestClosedFormLoop:
         assert path.values[1] == implicit_step_generic(drift, 0.25, 0.25,
                                                        0.5 - 1e8)[0]
         assert 0.0 < path.values[1] < 1.0
+
+    @staticmethod
+    def lost_roots_path(n=1024, shock_at=900):
+        """TSB on barriers 0 and 1 whose noise drops by 1e8 at step
+        ``shock_at``: from there on the cubic's roots are lost to
+        round-off of its 1e8-sized coefficients."""
+        bounds = BoundFunctions(constant_bound(0.0), constant_bound(1.0),
+                                0.7, 0.0, 1.0)
+        cfg = SandwichConfig(0.5, tsb_drift(0.5, 0.5, 0.0, bounds), n)
+        values = 0.1 * generate_noise(fbm(0.7), cfg.grid, 3).values
+        values[shock_at:] -= 1e8
+        return cfg, NoisePath(grid=cfg.grid, values=values, seed=3,
+                              spec=brownian())
+
+    @staticmethod
+    def record_generic(monkeypatch, fail=False):
+        seen = []
+        generic = solver.implicit_step_generic
+
+        def recording(drift, t_next, delta, rhs, tol=solver.DEFAULT_TOL):
+            seen.append(t_next)
+            if fail:
+                raise StepError("no generic solver")
+            return generic(drift, t_next, delta, rhs, tol=tol)
+
+        monkeypatch.setattr(solver, "implicit_step_generic", recording)
+        return seen
+
+    def test_failing_generic_step_names_first_failing_step(self, monkeypatch):
+        # At the round-off tolerance floor contract misses come long
+        # before the lost roots; the error names the first of them.
+        cfg, noise = self.lost_roots_path()
+        seen = self.record_generic(monkeypatch)
+        simulate(cfg, noise, tol=3e-16)
+        first = int(np.searchsorted(cfg.grid.points, seen[0]))
+        assert 0 < first < 900
+        self.record_generic(monkeypatch, fail=True)
+        with pytest.raises(StepError, match=rf"^step {first} "):
+            simulate(cfg, noise, tol=3e-16)
+
+    def test_generic_solver_sees_each_step_once(self, monkeypatch):
+        cfg, noise = self.lost_roots_path()
+        seen = self.record_generic(monkeypatch)
+        path = simulate(cfg, noise, tol=3e-16)
+        assert path.stepper == "cardano_tsb"
+        assert cfg.grid.points[900] in seen
+        assert len(seen) == len(set(seen))
+
+    def test_lost_roots_mid_path_resume_closed_form(self, monkeypatch):
+        cfg, noise = self.lost_roots_path(n=256, shock_at=100)
+        seen = self.record_generic(monkeypatch)
+        with mock.patch.object(solver, "_STEP_WINDOW", 64):
+            path = simulate(cfg, noise)
+        assert seen == [cfg.grid.points[100]]
+        assert path.stepper == "cardano_tsb"
+        assert np.array_equal(path.values, stepwise_reference(cfg, noise))
 
     def test_out_of_domain_value_names_first_bad_step(self):
         # z = -1e300 overflows z*z, so the CIR root underflows to 0.0.
