@@ -130,19 +130,15 @@ def inverse_distance_error(coarse: SimulatedPath, reference: SimulatedPath,
     tt = coarse.grid.points
     y_ref = reference.values[::factor]
     y_coarse = coarse.values
-    lo = np.asarray(bounds.phi(tt), float)
-    d_ref, d_coarse = y_ref - lo, y_coarse - lo
-    if np.any(d_ref < 1e-300) or np.any(d_coarse < 1e-300):
-        raise ValueError("path touches the lower barrier; sandwich violated upstream")
-    lower_err = float(np.max(np.abs(1.0 / d_ref - 1.0 / d_coarse)))
-    if bounds.psi is None:
-        return lower_err, None
-    hi = np.asarray(bounds.psi(tt), float)
-    u_ref, u_coarse = hi - y_ref, hi - y_coarse
-    if np.any(u_ref < 1e-300) or np.any(u_coarse < 1e-300):
-        raise ValueError("path touches the upper barrier; sandwich violated upstream")
-    upper_err = float(np.max(np.abs(1.0 / u_ref - 1.0 / u_coarse)))
-    return lower_err, upper_err
+    lo, hi = bounds.values(tt)
+    sides = (("lower", y_ref - lo, y_coarse - lo), ("upper", hi - y_ref, hi - y_coarse))
+    errs = []
+    for side, d_ref, d_coarse in sides[:1 + bounds.two_sided]:
+        if np.any(d_ref < 1e-300) or np.any(d_coarse < 1e-300):
+            raise ValueError(
+                f"path touches the {side} barrier; sandwich violated upstream")
+        errs.append(float(np.max(np.abs(1.0 / d_ref - 1.0 / d_coarse))))
+    return errs[0], errs[1] if bounds.two_sided else None
 
 
 def _fit_slope(deltas: np.ndarray, means_r: np.ndarray, r: float) -> float:

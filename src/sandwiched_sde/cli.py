@@ -19,11 +19,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import __version__
+from . import __version__, noise
 from .analysis import ConvergenceStudySpec, run_convergence_study
 from .config import ConfigError, load_config
 from .model import max_mesh, mesh_terms, validate_assumptions
-from .noise import covariance_matrix, generate_noise, sample_path
+from .noise import _symmetric_rows, generate_noise, sample_path
 from .solver import StepError, check_sandwich, simulate
 
 EXIT_OK = 0
@@ -154,13 +154,15 @@ def cmd_noise(args) -> int:
     if not args.cov:
         write_noise(generate_noise(rc.driver, grid, seed))
     else:
-        cov = covariance_matrix(rc.driver, grid)
-        rows = max(1, _DUMP_BLOCK // grid.n)
+        # Called through the module: wrappers of noise.covariance_matrix see it.
+        cov = noise.covariance_matrix(rc.driver, grid, packed=True)
+        step = max(1, _DUMP_BLOCK // grid.n)
         with _atomic_file(os.path.join(out, f"cov_{seed}.csv")) as fh:
-            # The factor behind the sample only reads cov's lower block
-            # rows; the noise file is written before the dump is renamed.
-            for i0 in range(0, grid.n, rows):
-                fh.write("\n".join(_csv_lines(cov[i0:i0 + rows].tolist())) + "\n")
+            # The whole dump is written before the sample factors cov in
+            # place; the noise file is written before the dump is renamed.
+            for rows in _symmetric_rows(cov, grid.n):
+                for r0 in range(0, len(rows), step):
+                    fh.write("\n".join(_csv_lines(rows[r0:r0 + step].tolist())) + "\n")
             write_noise(sample_path(rc.driver, grid, seed, cov=cov))
     print(f"wrote noise_{seed}.csv to {out}")
     return EXIT_OK
@@ -201,6 +203,18 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text!r}")
+    return int(text)
+
+
+def _tol(text: str) -> float:
+    if not 0.0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sandwiched-sde",
@@ -211,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_tol, default=None)
         p.add_argument("--stepper", choices=("auto", "closed", "generic"),
                        default=None)
 

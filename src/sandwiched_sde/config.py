@@ -27,6 +27,7 @@ existing configs keep loading, but it selects nothing.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -68,18 +69,17 @@ def _number(data: dict, section: str, key: str, default=None):
         raise ConfigError(f"{section}.{key} is required")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{section}.{key} must be a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{section}.{key} is out of range") from None
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf or too large a float
+        raise ConfigError(f"{section}.{key} must be finite")
+    return float(value)
 
 
 def _integer(data: dict, section: str, key: str, default=None,
              positive: bool = True) -> int:
     value = _number(data, section, key, default)
-    if not value.is_integer() or (positive and value < 1):
-        kind = "a positive integer" if positive else "an integer"
-        raise ConfigError(f"{section}.{key} must be {kind}")
+    if not value.is_integer() or value < (1 if positive else 0):
+        kind = "a positive" if positive else "a non-negative"
+        raise ConfigError(f"{section}.{key} must be {kind} integer")
     return int(value)
 
 
@@ -197,6 +197,9 @@ def parse_config(data: dict) -> RunConfig:
     if stepper not in ("auto", "closed", "generic"):
         raise ConfigError("run.stepper must be auto, closed, or generic")
     tol = _number(run, "run", "tol", 1e-12)
+    for key, value in (("T", horizon), ("tol", tol)):
+        if value <= 0.0:
+            raise ConfigError(f"run.{key} must be positive")
 
     output = _section(data.get("output", {}), "output", {"dir", "format"}, set())
     if output.get("format", "csv") not in ("csv", "json"):

@@ -62,7 +62,8 @@ def sin_bound(a: float, b: float, c: float) -> Callable[[np.ndarray], np.ndarray
 
 @dataclass(frozen=True)
 class BoundFunctions:
-    """Barrier functions with their joint Holder regularity."""
+    """Barrier functions with their joint Holder regularity (psi is None
+    one-sided). Only ``values`` evaluates them; ``inside`` is the sandwich test."""
 
     phi: Callable[[np.ndarray], np.ndarray]
     psi: Optional[Callable[[np.ndarray], np.ndarray]]
@@ -82,17 +83,32 @@ class BoundFunctions:
     def two_sided(self) -> bool:
         return self.psi is not None
 
+    def values(self, t) -> tuple:
+        """(phi(t), psi(t)), psi = +inf one-sided: Python floats for a
+        scalar t, else float arrays shaped like the array t."""
+        if isinstance(t, np.ndarray) and t.ndim:
+            hi = np.full(t.shape, math.inf) if self.psi is None else self.psi(t)
+            return tuple(v if v.shape == t.shape else np.broadcast_to(v, t.shape)
+                         for v in (np.asarray(self.phi(t), float), np.asarray(hi, float)))
+        return float(self.phi(t)), math.inf if self.psi is None else float(self.psi(t))
+
+    def inside(self, t, y):
+        """Mask of phi(t) < y < psi(t), elementwise; NaN is outside."""
+        lo, hi = self.values(t)
+        return (lo < y) & (y < hi)
+
 
 @dataclass(frozen=True)
 class DriftSpec:
     """A drift b(t, y) together with its regularity constants.
 
+    ``b`` and ``db_dy`` take floats or NumPy arrays of t and y and work
+    elementwise (``simulate`` passes floats, the checks here arrays); the
+    built-in families raise DomainError unless phi(t) < y < psi(t).
     c1, p: local Lipschitz scale and blow-up power; c2, gamma, y_star:
     repulsion strength, power, and zone width near the barriers; c3: an
     upper bound on db/dy. ``family`` and ``params`` identify the built-in
-    closed forms used by the solver's specialized steppers; the built-in
-    families' ``b`` also takes arrays of t and y, which those steppers use
-    to check their residuals. Custom drifts only need scalar callables.
+    closed forms used by the solver's specialized steppers.
     """
 
     b: Callable[[float, float], float]
@@ -111,8 +127,8 @@ class DriftSpec:
     def __post_init__(self):
         if self.kind not in (ONE_SIDED, TWO_SIDED):
             raise ValueError(f"unknown sandwich kind {self.kind!r}")
-        if self.kind == TWO_SIDED and not self.bounds.two_sided:
-            raise ValueError("two-sided drift needs an upper bound function")
+        if (self.kind == TWO_SIDED) != self.bounds.two_sided:
+            raise ValueError("psi must be given for two-sided drifts only")
         for name in ("c1", "c2", "c3", "y_star"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -193,6 +209,18 @@ class ValidationReport:
 _DENSE = 2001  # deterministic lattice used for closed-form constant derivation
 
 
+def _domain_values(bounds: BoundFunctions, t, y) -> tuple:
+    """``bounds.values(t)``, or DomainError unless phi(t) < y < psi(t) (NaN is
+    outside). A scalar mask is tested as a bool: ``np.all`` costs microseconds."""
+    lo, hi = bounds.values(t)
+    inside = (lo < y) & (y < hi)
+    if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+        k = np.argmin(inside)
+        y_k, lo_k, hi_k = (v.flat[k] for v in np.broadcast_arrays(y, lo, hi))
+        raise DomainError(f"drift evaluated at y={y_k} outside ({lo_k}, {hi_k})")
+    return lo, hi
+
+
 def cir_drift(kappa1: float, kappa2: float, gamma: float,
               holder_exponent: float, horizon: float) -> DriftSpec:
     """Generalized CIR drift b(t, y) = kappa1 / y^gamma - kappa2 * y.
@@ -212,17 +240,11 @@ def cir_drift(kappa1: float, kappa2: float, gamma: float,
     )
 
     def b(t, y):
-        # Scalars for the step solvers; arrays for the solver's residual check.
-        if isinstance(y, np.ndarray):
-            if np.any(y <= 0.0):
-                raise DomainError(f"CIR drift evaluated at y={np.min(y)} <= 0")
-        elif y <= 0.0:
-            raise DomainError(f"CIR drift evaluated at y={y} <= 0")
+        _domain_values(bounds, t, y)
         return kappa1 / y ** gamma - kappa2 * y
 
     def db_dy(t, y):
-        if y <= 0.0:
-            raise DomainError(f"CIR drift derivative evaluated at y={y} <= 0")
+        _domain_values(bounds, t, y)
         return -kappa1 * gamma / y ** (gamma + 1.0) - kappa2
 
     return DriftSpec(
@@ -260,39 +282,22 @@ def _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds, family):
         raise ValueError("kappa1 and kappa2 must be positive")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    phi, psi = bounds.phi, bounds.psi
-    tt = np.linspace(0.0, bounds.horizon, _DENSE)
-    phi_t, psi_t = np.asarray(phi(tt), float), np.asarray(psi(tt), float)
+    phi_t, psi_t = bounds.values(np.linspace(0.0, bounds.horizon, _DENSE))
     gap_min = float(np.min(psi_t - phi_t))
-    if gap_min <= 0.0:
-        raise ValueError("psi must stay strictly above phi")
+    if not 0.0 < gap_min < math.inf:  # psi is +inf when missing
+        raise ValueError("psi must be given and stay strictly above phi")
     y_max = float(np.max(np.abs(np.stack([phi_t, psi_t]))))
     c2, y_star = _sandwich_repulsion_zone(kappa1, kappa2, kappa3, gamma,
                                           gap_min, y_max)
 
     def b(t, y):
-        # Scalars for the step solvers; arrays for the solver's residual check.
-        if isinstance(y, np.ndarray):
-            lo, hi = phi(t), psi(t)
-            outside = (y <= lo) | (y >= hi)
-            if np.any(outside):
-                k = int(np.argmax(outside))
-                raise DomainError(f"drift evaluated at y={y[k]} outside "
-                                  f"({lo[k]}, {hi[k]})")
-        else:
-            lo = float(phi(t))
-            hi = float(psi(t))
-            if y <= lo or y >= hi:
-                raise DomainError(f"drift evaluated at y={y} outside ({lo}, {hi})")
+        lo, hi = _domain_values(bounds, t, y)
         return (kappa1 / (y - lo) ** gamma
                 - kappa2 / (hi - y) ** gamma
                 - kappa3 * y)
 
     def db_dy(t, y):
-        lo = float(phi(t))
-        hi = float(psi(t))
-        if y <= lo or y >= hi:
-            raise DomainError(f"drift derivative at y={y} outside ({lo}, {hi})")
+        lo, hi = _domain_values(bounds, t, y)
         return (-kappa1 * gamma / (y - lo) ** (gamma + 1.0)
                 - kappa2 * gamma / (hi - y) ** (gamma + 1.0)
                 - kappa3)
@@ -342,10 +347,9 @@ def _lattice(config: SandwichConfig, eps: float):
     """Deterministic (t, y) lattice over the eps-interior of the domain."""
     drift = config.drift
     tt = np.linspace(0.0, config.horizon, _LATTICE)
-    lo = np.asarray(drift.bounds.phi(tt), float) + eps
-    if drift.kind == TWO_SIDED:
-        hi = np.asarray(drift.bounds.psi(tt), float) - eps
-    else:
+    lo, hi = drift.bounds.values(tt)
+    lo, hi = lo + eps, hi - eps
+    if drift.kind == ONE_SIDED:
         hi = lo + max(4.0 * drift.y_star, 2.0 * abs(config.y0) + 1.0)
     frac = np.linspace(0.0, 1.0, _LATTICE)
     ts = np.repeat(tt, _LATTICE)
@@ -360,7 +364,7 @@ def _spot_check_lipschitz(config: SandwichConfig, eps: float) -> Optional[str]:
     n = len(ts)
     if n < 2:
         return None
-    bs = np.array([drift.b(t, y) for t, y in zip(ts, ys)])
+    bs = drift.b(ts, ys)
     lam = drift.bounds.holder_exponent
     scale = drift.c1 / eps ** drift.p
     # Deterministic pair subsample: several fixed strides across the lattice.
@@ -377,21 +381,20 @@ def _spot_check_lipschitz(config: SandwichConfig, eps: float) -> Optional[str]:
 
 
 def _spot_check_repulsion(config: SandwichConfig) -> Optional[str]:
+    # One drift call on a (side, t, dist) lattice; sides are lower, upper.
     drift = config.drift
     tt = np.linspace(0.0, config.horizon, _LATTICE)
-    lo = np.asarray(drift.bounds.phi(tt), float)
+    lo, hi = drift.bounds.values(tt[:, None])
     dists = drift.y_star * np.linspace(1.0 / _LATTICE, 1.0, _LATTICE)
-    for t, l in zip(tt, lo):
-        for d in dists:
-            if drift.b(t, l + d) < drift.c2 / d ** drift.gamma * (1.0 - 1e-9):
-                return f"lower repulsion fails at t={t:.4g}, dist={d:.4g}"
-    if drift.kind == TWO_SIDED:
-        hi = np.asarray(drift.bounds.psi(tt), float)
-        for t, h in zip(tt, hi):
-            for d in dists:
-                if drift.b(t, h - d) > -drift.c2 / d ** drift.gamma * (1.0 - 1e-9):
-                    return f"upper repulsion fails at t={t:.4g}, dist={d:.4g}"
-    return None
+    sides = [lo + dists, hi - dists][:1 + drift.bounds.two_sided]
+    push = drift.b(tt[:, None], np.array(sides))
+    push[1:] *= -1.0
+    bad = push < drift.c2 / dists ** drift.gamma * (1.0 - 1e-9)
+    if not np.any(bad):
+        return None
+    side, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+    return (f"{('lower', 'upper')[side]} repulsion fails at "
+            f"t={tt[i]:.4g}, dist={dists[j]:.4g}")
 
 
 def validate_assumptions(config: SandwichConfig) -> ValidationReport:
@@ -405,24 +408,20 @@ def validate_assumptions(config: SandwichConfig) -> ValidationReport:
     checks = []
 
     # (A1)/(B1): initial value strictly inside.
-    phi0 = float(bounds.phi(0.0))
+    phi0, psi0 = bounds.values(0.0)
+    ok = phi0 < config.y0 < psi0
     if two:
-        psi0 = float(bounds.psi(0.0))
-        ok = phi0 < config.y0 < psi0
         detail = f"phi(0)={phi0:.6g} < y0={config.y0:.6g} < psi(0)={psi0:.6g}"
     else:
-        ok = config.y0 > phi0
         detail = f"y0={config.y0:.6g} > phi(0)={phi0:.6g}"
     checks.append(CheckResult(f"({tag}1)", "pass" if ok else "fail", detail))
 
     # Barrier regularity: ordering and Holder constant, sampled.
     tt = np.linspace(0.0, config.horizon, 257)
-    phi_t = np.asarray(bounds.phi(tt), float)
+    phi_t, psi_t = bounds.values(tt)
     detail, status = "barriers sampled on 257 points", "spot-checked"
-    if two:
-        psi_t = np.asarray(bounds.psi(tt), float)
-        if np.any(psi_t <= phi_t):
-            status, detail = "fail", "psi does not stay strictly above phi"
+    if np.any(psi_t <= phi_t):  # never one-sided, where psi is +inf
+        status, detail = "fail", "psi does not stay strictly above phi"
     if status != "fail" and bounds.holder_constant >= 0.0:
         diffs = np.abs(phi_t[:, None] - phi_t[None, :])
         if two:
@@ -461,7 +460,7 @@ def validate_assumptions(config: SandwichConfig) -> ValidationReport:
 
     # (A4)/(B4): c3 dominates sampled db/dy.
     ts, ys = _lattice(config, drift.y_star / 4.0)
-    sup_db = max(drift.db_dy(t, y) for t, y in zip(ts, ys))
+    sup_db = float(np.max(drift.db_dy(ts, ys)))
     ok = drift.c3 > sup_db
     checks.append(CheckResult(
         f"({tag}4)", "spot-checked" if ok else "fail",
@@ -486,7 +485,7 @@ def mesh_terms(config: SandwichConfig) -> dict:
     drift = config.drift
     terms = {"c3": drift.c3}
     if drift.kind == ONE_SIDED:
-        gap0 = config.y0 - float(drift.bounds.phi(0.0))
+        gap0 = config.y0 - drift.bounds.values(0.0)[0]
         if gap0 <= 0.0:
             raise ValueError("y0 must exceed phi(0) in the one-sided case")
         terms["c1/(y0-phi(0))^p"] = drift.c1 / gap0 ** drift.p
@@ -519,11 +518,9 @@ def bound_constants(config: SandwichConfig) -> BoundConstants:
     c2 = drift.c2
     beta = (lam ** (lam / (1.0 - lam)) - lam ** (1.0 / (1.0 - lam))) \
         / c2 ** (lam / (1.0 - lam))
-    phi0 = float(bounds.phi(0.0))
+    phi0, psi0 = bounds.values(0.0)
     start_gap = config.y0 - phi0
-    seed = min(start_gap, drift.y_star)
-    if drift.kind == TWO_SIDED:
-        seed = min(seed, float(bounds.psi(0.0)) - config.y0)
+    seed = min(start_gap, drift.y_star, psi0 - config.y0)
     if seed <= 0.0:
         raise ValueError("initial value is not strictly inside the sandwich")
     L2 = bounds.holder_constant \
@@ -537,9 +534,8 @@ def bound_constants(config: SandwichConfig) -> BoundConstants:
     T = bounds.horizon
     q = drift.c1 / start_gap ** drift.p
     tt = np.linspace(0.0, T, _DENSE)
-    phi_t = np.asarray(bounds.phi(tt), float)
-    b_on_shift = np.array([drift.b(t, p + start_gap)
-                           for t, p in zip(tt, phi_t)])
+    phi_t, _ = bounds.values(tt)
+    b_on_shift = drift.b(tt, phi_t + start_gap)
     # Linear growth |b(t,y)| <= C_lin + q |y| on the region above phi + gap.
     c_lin = float(np.max(np.abs(b_on_shift))) \
         + q * float(np.max(np.abs(phi_t - start_gap)))
@@ -570,15 +566,11 @@ def theoretical_envelope(config: SandwichConfig, lam_holder: float,
     lam = drift.bounds.holder_exponent
     denom = drift.gamma * lam + lam - 1.0
     margin = bc.L1 / (bc.L2 + lam_holder) ** (1.0 / denom)
-    t = np.asarray(t, dtype=float)
-    lower = np.asarray(drift.bounds.phi(t), float) + margin
+    lo, hi = drift.bounds.values(np.asarray(t, dtype=float))
     if drift.kind == TWO_SIDED:
-        upper = np.asarray(drift.bounds.psi(t), float) - margin
-    else:
-        upper = np.full_like(lower, bc.L3 + bc.L4 * lam_holder)
-    if lower.ndim == 0:
-        return float(lower), float(upper)
-    return lower, upper
+        return lo + margin, hi - margin
+    # 0 * lo gives the constant upper bound the shape (or type) of lo.
+    return lo + margin, 0.0 * lo + (bc.L3 + bc.L4 * lam_holder)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,13 @@ def _block_rows(packed: np.ndarray, n: int):
         yield i0, i1, packed[start:start + (i1 - i0) * i1].reshape(i1 - i0, i1)
 
 
+def _symmetric_rows(packed: np.ndarray, n: int):
+    """Yield the full rows of a packed symmetric matrix, one block row at a time."""
+    blocks = list(_block_rows(packed, n))
+    for b, (i0, i1, blk) in enumerate(blocks):
+        yield np.hstack([blk] + [below[:, i0:i1].T for _, _, below in blocks[b + 1:]])
+
+
 def _kernel_rows(spec: GaussianDriverSpec, grid: TimeGrid):
     """rows(i, j): the covariance of (Z(t_1), ..., Z(t_n)) at index slices i, j."""
     t = grid.points[1:]
@@ -316,7 +323,7 @@ def _brownian_like_factor(grid: TimeGrid) -> np.ndarray:
 
 def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid,
                 cov: Optional[np.ndarray] = None) -> np.ndarray:
-    """The packed factor, cached by ``cache_key``; a dense ``cov`` is only read."""
+    """The packed factor, cached by ``cache_key``; a packed ``cov`` becomes it."""
     key = None
     if spec.cache_key is not None:
         key = (spec.cache_key, grid.horizon, grid.n)
@@ -327,11 +334,10 @@ def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid,
     if spec.kind == "brownian" or (spec.kind == "fbm" and spec.hurst == 0.5):
         factor = _brownian_like_factor(grid)
     else:
-        def refill(packed=None):
-            rows = _kernel_rows(spec, grid) if cov is None else lambda i, j: cov[i, j]
-            return _fill_packed(n, rows, packed)
+        def refill(packed):
+            _fill_packed(n, _kernel_rows(spec, grid), packed)
 
-        packed = covariance_matrix(spec, grid, packed=True) if cov is None else refill()
+        packed = covariance_matrix(spec, grid, packed=True) if cov is None else cov
         factor = _cholesky_with_jitter(packed, n, refill)
     if key is not None:
         _factor_cache[key] = factor
@@ -349,10 +355,9 @@ def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
     The sample has the exact joint Gaussian law of the driver restricted
     to the grid and is deterministic given (spec, grid, seed) and the
     BLAS thread count: the factor and the products go through BLAS, whose
-    rounding depends on how many threads it uses. ``cov``
-    may pass in ``covariance_matrix(spec, grid)`` when the caller has
-    already built it; its lower block rows are copied into the factor's
-    buffer, and ``cov`` itself is left as it was.
+    rounding depends on how many threads it uses. ``cov`` may pass in
+    ``covariance_matrix(spec, grid, packed=True)``: unless a factor is
+    cached, it is factored in place (and refilled on a CholeskyError).
     """
     factor = _factor_for(spec, grid, cov)
     xi = _rng(seed).standard_normal(grid.n)

@@ -193,8 +193,7 @@ def implicit_step_tsb(drift: DriftSpec, t_next: float, delta: float,
     take the same floating-point path.
     """
     params = drift.param_dict
-    phi_next = float(drift.bounds.phi(t_next))
-    psi_next = float(drift.bounds.psi(t_next))
+    phi_next, psi_next = drift.bounds.values(t_next)
     scale = _tsb_scale(delta, params["kappa3"])
     coefs = _tsb_affine(np.array([phi_next]), np.array([psi_next]), delta,
                         params["kappa1"], params["kappa2"], scale)
@@ -219,16 +218,15 @@ def implicit_step_generic(drift: DriftSpec, t_next: float, delta: float,
     back to bisection whenever it leaves the bracket. Returns
     ``(y, abs(g(y) - rhs))``, the residual the contract was checked on.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError("tol must be positive")
     t, z = t_next, rhs
 
     def g(y):
         return y - drift.b(t, y) * delta
 
-    phi_t = float(drift.bounds.phi(t))
+    phi_t, psi_t = drift.bounds.values(t)
     if drift.kind == TWO_SIDED:
-        psi_t = float(drift.bounds.psi(t))
         width = psi_t - phi_t
         eta = width * 2.0 ** -52
         lo, hi = phi_t + eta, psi_t - eta
@@ -381,8 +379,7 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
             return _cir_steps(y, dz[w0:w1].tolist(), params, delta)
     else:
         scale = _tsb_scale(delta, params["kappa3"])
-        phi = np.broadcast_to(drift.bounds.phi(tt), tt.shape)
-        psi = np.broadcast_to(drift.bounds.psi(tt), tt.shape)
+        phi, psi = drift.bounds.values(tt)
 
         def steps(y, w0, w1):
             lo, hi = phi[w0 + 1:w1 + 1], psi[w0 + 1:w1 + 1]
@@ -404,7 +401,7 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
             try:
                 resid = np.abs(y - drift.b(t, y) * delta - z)
             except DomainError as exc:
-                k = start + 1 + int(np.argmin(_strictly_inside(drift, t, y)))
+                k = start + 1 + int(np.argmin(drift.bounds.inside(t, y)))
                 raise StepError(f"step {k} (t={tt[k]:.6g}): {exc}") from exc
             ok = resid <= tol * np.maximum(1.0, np.abs(z))  # False on NaN
             j = int(np.argmin(ok))
@@ -435,14 +432,6 @@ def _generic_step(drift: DriftSpec, t_next: float, delta: float, z: float,
         raise kind(f"step {k} (t={t_next:.6g}, rhs={z:.6g}): {exc}") from exc
 
 
-def _strictly_inside(drift: DriftSpec, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mask of the points with phi(t) < y (< psi(t) two-sided); False on NaN."""
-    inside = y > np.asarray(drift.bounds.phi(t), float)
-    if drift.kind == TWO_SIDED:
-        inside &= y < np.asarray(drift.bounds.psi(t), float)
-    return inside
-
-
 def check_sandwich(path: SimulatedPath, config: SandwichConfig,
                    lam_hat: Optional[float] = None) -> SandwichReport:
     """Verify the strict sandwich at every grid point, and optionally the
@@ -452,7 +441,7 @@ def check_sandwich(path: SimulatedPath, config: SandwichConfig,
     Holder constant underestimates the true pathwise one.
     """
     tt = path.grid.points
-    strict = _strictly_inside(config.drift, tt, path.values)
+    strict = config.drift.bounds.inside(tt, path.values)
     violations = tuple(int(i) for i in np.nonzero(~strict)[0])
 
     envelope_ok = None

@@ -141,8 +141,8 @@ class TestParseConfig:
             parse_config(cir_config_dict(**{key: value}))
 
     def test_integral_floats_load_as_ints(self):
-        rc = parse_config(cir_config_dict(N=1e4, seed=-3.0, paths=2.0))
-        assert (rc.config.grid_points, rc.seed, rc.paths) == (10000, -3, 2)
+        rc = parse_config(cir_config_dict(N=1e4, seed=3.0, paths=2.0))
+        assert (rc.config.grid_points, rc.seed, rc.paths) == (10000, 3, 2)
         assert all(type(v) is int
                    for v in (rc.config.grid_points, rc.seed, rc.paths))
 
@@ -195,6 +195,133 @@ class TestValidateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "run.N" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("where, value, message", [
+        ("run.seed", "-1", "run.seed must be a non-negative integer"),
+        ("run.tol", "0", "run.tol must be positive"),
+        ("run.tol", "-1e-12", "run.tol must be positive"),
+        ("run.tol", "NaN", "run.tol must be finite"),
+        ("run.T", "0", "run.T must be positive"),
+        ("run.T", "-1", "run.T must be positive"),
+        ("run.T", "Infinity", "run.T must be finite"),
+        ("model.y0", "-Infinity", "model.y0 must be finite"),
+        ("model.drift.kappa1", "NaN", "model.drift.kappa1 must be finite"),
+        ("model.bounds.lambda", "Infinity", "model.bounds.lambda must be finite"),
+    ])
+    def test_bad_run_values_exit_two(self, tmp_path, capsys, where, value, message):
+        data = cir_config_dict()
+        *path, key = where.split(".")
+        section = data
+        for name in path:
+            section = section[name]
+        section[key] = "@"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data).replace('"@"', value))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        # A valid --seed does not rescue a bad config seed.
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--seed=-1", "--seed=1.5", "--seed=x",
+                                      "--tol=0", "--tol=-1e-12", "--tol=nan",
+                                      "--tol=inf", "--tol=x"])
+    def test_bad_flags_exit_two(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, cir_config_dict())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--out", str(out), flag])
+        assert exc.value.code == 2
+        assert f"argument {flag.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+README_TWO_SIDED = {
+    "model": {
+        "drift": {"family": "power_sandwich", "kappa1": 1.0, "kappa2": 1.0,
+                  "gamma": 4.0},
+        "bounds": {
+            "phi": {"kind": "sin_shift", "a": 0.0, "b": 1.0, "c": 10.0},
+            "psi": {"kind": "sin_shift", "a": 2.0, "b": 1.0, "c": 10.0},
+            "lambda": 0.29,
+        },
+        "y0": 1.0,
+    },
+    "noise": {"kind": "mbm", "H": {"a": 0.5, "b": 0.2, "c": 6.283185307179586}},
+    "run": {"T": 1.0, "N": 10000, "seed": 1, "paths": 3},
+}
+
+
+def showcase_configs():
+    """README's two-sided example and the CIR, TSB and mBm showcase runs."""
+    tsb = tsb_config_dict()
+    tsb["model"]["bounds"].update(phi={"kind": "const", "value": -1.0},
+                                  psi={"kind": "const", "value": 1.0})
+    tsb["run"] = {"T": 1.0, "N": 10000, "seed": 42, "paths": 8}
+    power = json.loads(json.dumps(README_TWO_SIDED))
+    power["run"]["N"] = 4096
+    return {"cir_fbm": cir_config_dict(N=10000, seed=42, paths=20),
+            "tsb_fbm": tsb, "power_mbm": power, "readme_two_sided": README_TWO_SIDED}
+
+
+# `validate` stdout, as the scalar-loop validation printed it.
+GOLDEN_VALIDATE = {
+    "cir_fbm": """\
+assumption report (one-sided sandwich)
+  (A1)         pass         y0=1 > phi(0)=0
+  barriers     spot-checked barriers sampled on 257 points
+  (A2)         spot-checked c1=2, p=2 on 3 lattices
+  (A3)         spot-checked gamma=1 > 0.449275; repulsion holds on lattice
+  (A4)         spot-checked c3=1 vs sampled sup db/dy=-1.09909
+  mesh         pass         mesh=0.0001, max admissible=0.495
+max admissible mesh: 0.495 (configured mesh 0.0001)
+binding mesh term: c1/(y0-phi(0))^p = 2
+""",
+    "tsb_fbm": """\
+assumption report (two-sided sandwich)
+  (B1)         pass         phi(0)=-1 < y0=0 < psi(0)=1
+  barriers     spot-checked barriers sampled on 257 points
+  (B2)         spot-checked c1=1, p=2 on 3 lattices
+  (B3)         spot-checked gamma=1 > 0.449275; repulsion holds on lattice
+  (B4)         spot-checked c3=1 vs sampled sup db/dy=-1
+  mesh         pass         mesh=0.0001, max admissible=0.99
+max admissible mesh: 0.99 (configured mesh 0.0001)
+binding mesh term: c3 = 1
+""",
+    "power_mbm": """\
+assumption report (two-sided sandwich)
+  (B1)         pass         phi(0)=0 < y0=1 < psi(0)=2
+  barriers     spot-checked barriers sampled on 257 points
+  (B2)         spot-checked c1=168, p=5 on 3 lattices
+  (B3)         spot-checked gamma=4 > 2.44828; repulsion holds on lattice
+  (B4)         spot-checked c3=1 vs sampled sup db/dy=-8
+  mesh         pass         mesh=0.000244141, max admissible=0.99
+max admissible mesh: 0.99 (configured mesh 0.000244141)
+binding mesh term: c3 = 1
+""",
+    "readme_two_sided": """\
+assumption report (two-sided sandwich)
+  (B1)         pass         phi(0)=0 < y0=1 < psi(0)=2
+  barriers     spot-checked barriers sampled on 257 points
+  (B2)         spot-checked c1=168, p=5 on 3 lattices
+  (B3)         spot-checked gamma=4 > 2.44828; repulsion holds on lattice
+  (B4)         spot-checked c3=1 vs sampled sup db/dy=-8
+  mesh         pass         mesh=0.0001, max admissible=0.99
+max admissible mesh: 0.99 (configured mesh 0.0001)
+binding mesh term: c3 = 1
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE))
+def test_validate_stdout_golden(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, showcase_configs()[name])
+    assert main(["validate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == GOLDEN_VALIDATE[name]
 
 
 class TestSimulateCommand:
@@ -328,15 +455,15 @@ class TestNoiseCommand:
         calls = []
 
         def counting(spec, grid, **layout):
-            calls.append(grid.n)
+            calls.append((grid.n, layout))
             return build(spec, grid, **layout)
 
         monkeypatch.setattr(noise, "_factor_cache", {})
         monkeypatch.setattr(noise, "covariance_matrix", counting)
-        monkeypatch.setattr(cli, "covariance_matrix", counting)
         out = tmp_path / "out"
         assert main(["noise", "--config", cfg, "--out", str(out), "--cov"]) == 0
-        assert calls == [64]
+        # Once, packed: the dump is written from the lower block rows.
+        assert calls == [(64, {"packed": True})]
         # Same bytes as a separate cold Cholesky sample and covariance dump.
         monkeypatch.setattr(noise, "_factor_cache", {})
         rc = load_config(cfg)
@@ -356,11 +483,11 @@ class TestNoiseCommand:
         data["noise"] = {"kind": "mbm", "H": {"a": 0.5, "b": 0.2,
                                               "c": 2 * np.pi}}
         cfg = write_config(tmp_path, data)
-        build, sample = cli.covariance_matrix, cli.sample_path
+        build, sample = noise.covariance_matrix, cli.sample_path
         marks = {}
 
-        def building(spec, grid):
-            cov = build(spec, grid)
+        def building(spec, grid, **layout):
+            cov = build(spec, grid, **layout)
             marks["base"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             return cov
@@ -370,7 +497,7 @@ class TestNoiseCommand:
             return sample(*args, **kwargs)
 
         monkeypatch.setattr(noise, "_factor_cache", {})
-        monkeypatch.setattr(cli, "covariance_matrix", building)
+        monkeypatch.setattr(noise, "covariance_matrix", building)
         monkeypatch.setattr(cli, "sample_path", sampling)
         tracemalloc.start()
         try:

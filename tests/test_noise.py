@@ -593,11 +593,14 @@ class TestBlockedCholesky:
         with pytest.raises(CholeskyError, match=f"{smallest:.3e}"):
             sample_path(stored_kernel(stored), grid, 0)
         assert np.array_equal(stored, before)
-        # A caller's dense covariance is only read.
-        work = before.copy()
+        # A caller's packed covariance is factored in place, and refilled
+        # from the kernel when every attempt fails.
+        work = covariance_matrix(stored_kernel(stored), grid, packed=True)
+        packed_before = work.copy()
         with pytest.raises(CholeskyError, match=f"{smallest:.3e}"):
             sample_path(stored_kernel(stored), grid, 0, cov=work)
-        assert np.array_equal(work, before)
+        assert np.array_equal(work, packed_before)
+        assert np.array_equal(stored, before)
         # Each failed attempt is undone by refilling from the source.
         packed = covariance_matrix(stored_kernel(stored), grid, packed=True)
         source = packed.copy()
@@ -700,14 +703,14 @@ class TestJitterProperty:
         lower = unpack(factor, n)
         gap = np.max(np.abs(lower @ lower.T - (matrix + amount * np.eye(n))))
         assert gap <= 1e-12 * np.max(np.abs(matrix))
-        cov = covariance_matrix(spec, grid)
-        before = cov.copy()
+        cov = covariance_matrix(spec, grid, packed=True)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            from_dense = noise_module._factor_for(spec, grid, cov=cov)
+            from_caller = noise_module._factor_for(spec, grid, cov=cov)
             oracle = dense_factor(spec, grid)
-        assert np.array_equal(from_dense, factor)
-        assert np.array_equal(cov, before)
+        # A caller's packed covariance becomes the factor, jitter included.
+        assert from_caller is cov
+        assert np.array_equal(from_caller, factor)
         assert np.array_equal(stored, matrix)
         if n % 256 != 1:
             # A one-row last block is solved against the first diagonal

@@ -273,6 +273,13 @@ class TestImplicitStepGeneric:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             implicit_step_generic(CIR_11, 0.5, 0.1, 1.0, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            implicit_step_generic(CIR_11, 0.5, 0.1, 1.0, tol=math.nan)
+        # A NaN tolerance fails every closed-form check, and the generic
+        # step it falls back to rejects it.
+        cfg = SandwichConfig(1.0, CIR_11, 8)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            simulate(cfg, zero_noise(cfg.grid), tol=math.nan)
 
     def test_returns_checked_residual(self):
         # The residual is |g(y) - rhs| as the contract checked it, with the
