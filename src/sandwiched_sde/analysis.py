@@ -52,8 +52,8 @@ class ConvergenceStudySpec:
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("need at least one Monte Carlo path")
-        if self.r < 1.0:
-            raise ValueError("moment order r must be at least 1")
+        if not 1.0 <= self.r < math.inf:  # NaN too
+            raise ValueError("moment order r must be finite and at least 1")
         meshes = tuple(sorted(int(n) for n in self.mesh_list))
         if len(set(meshes)) != len(meshes):
             raise ValueError("mesh_list entries must be distinct")

@@ -170,15 +170,14 @@ def cmd_noise(args) -> int:
 
 def cmd_convergence(args) -> int:
     rc = load_config(args.config)
-    meshes = tuple(int(m) for m in args.meshes.split(","))
-    for m in meshes:
+    for m in args.meshes:
         if args.ref % m != 0:
             print(f"mesh {m} does not divide the reference grid {args.ref}",
                   file=sys.stderr)
             return EXIT_FAILURE
     lam = rc.config.drift.bounds.holder_exponent
     spec = ConvergenceStudySpec(
-        config=rc.config, driver=rc.driver, mesh_list=meshes,
+        config=rc.config, driver=rc.driver, mesh_list=args.meshes,
         reference_n=args.ref, paths=args.paths, r=args.r,
         seed_base=args.seed if args.seed is not None else rc.seed,
         lam_expected=lam, stepper=args.stepper or rc.stepper,
@@ -209,9 +208,25 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return int(text)
+
+
+def _meshes(text: str) -> tuple:
+    return tuple(map(_positive_int, text.split(",")))
+
+
 def _tol(text: str) -> float:
     if not 0.0 < float(text) < np.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite: {text!r}")
+    return float(text)
+
+
+def _moment_order(text: str) -> float:
+    if not 1.0 <= float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 1: {text!r}")
     return float(text)
 
 
@@ -249,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="run a nested-grid rate study")
     common(p)
-    p.add_argument("--meshes", required=True,
+    p.add_argument("--meshes", type=_meshes, required=True,
                    help="comma-separated coarse step counts")
-    p.add_argument("--ref", type=int, required=True,
+    p.add_argument("--ref", type=_positive_int, required=True,
                    help="reference step count")
-    p.add_argument("--paths", type=int, default=100)
-    p.add_argument("--r", type=float, default=1.0, help="moment order")
+    p.add_argument("--paths", type=_positive_int, default=100)
+    p.add_argument("--r", type=_moment_order, default=1.0, help="moment order")
     p.set_defaults(func=cmd_convergence)
     return parser
 

@@ -223,10 +223,15 @@ def _kernel_rows(spec: GaussianDriverSpec, grid: TimeGrid):
     raise ValueError(f"unknown driver kind {spec.kind!r}")
 
 
+def _packed_size(n: int) -> int:
+    """Length of the flat buffer of a packed lower n x n matrix."""
+    return sum((i1 - i0) * i1 for i0, i1 in _blocks(n))
+
+
 def _fill_packed(n: int, rows, packed: Optional[np.ndarray] = None) -> np.ndarray:
     # Lower block rows from rows(i, j), at most _KERNEL_CHUNK_BYTES per call.
     if packed is None:
-        packed = np.empty(sum((i1 - i0) * i1 for i0, i1 in _blocks(n)))
+        packed = np.empty(_packed_size(n))
     for i0, i1, blk in _block_rows(packed, n):
         step = max(1, _KERNEL_CHUNK_BYTES // (8 * i1))
         for r in range(0, i1 - i0, step):
@@ -357,8 +362,13 @@ def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
     BLAS thread count: the factor and the products go through BLAS, whose
     rounding depends on how many threads it uses. ``cov`` may pass in
     ``covariance_matrix(spec, grid, packed=True)``: unless a factor is
-    cached, it is factored in place (and refilled on a CholeskyError).
+    cached, it is factored in place (and refilled on a CholeskyError);
+    any other shape raises ValueError.
     """
+    if cov is not None and np.shape(cov) != (_packed_size(grid.n),):
+        raise ValueError(
+            f"cov must be covariance_matrix(..., packed=True), a flat array of "
+            f"{_packed_size(grid.n)} values for N={grid.n}; got shape {np.shape(cov)}")
     factor = _factor_for(spec, grid, cov)
     xi = _rng(seed).standard_normal(grid.n)
     values = np.concatenate(

@@ -304,6 +304,12 @@ def _choose_stepper(drift: DriftSpec, stepper: str) -> str:
     return closed or "bracketed_generic"
 
 
+_RESUME_WINDOW = 64
+# Steps per call of a closed-form kernel: bounds the per-step lists (the
+# TSB cubic's coefficients among them) whatever the path length.
+_STEP_WINDOW = 2048
+
+
 def simulate(config: SandwichConfig, noise: NoisePath,
              stepper: str = "auto", tol: float = DEFAULT_TOL,
              unsafe_mesh: bool = False) -> SimulatedPath:
@@ -314,6 +320,18 @@ def simulate(config: SandwichConfig, noise: NoisePath,
     Every accepted step meets the residual contract
     |y - b(t,y)*delta - z| <= tol*max(1,|z|); a step that cannot meet it
     raises StepError naming the step index.
+
+    One loop steps every route through windows of at most
+    ``_STEP_WINDOW`` steps; the route only picks the window kernel. The
+    closed forms step on Python floats (barriers and constants once per
+    path, the TSB cubic's z-independent coefficients with numpy on the
+    grid), and one array call of ``drift.b`` checks the contract on the
+    steps a kernel took. The generic route's kernel takes no step. The
+    window's first failing step k (a contract miss, a TSB step whose
+    cubic lost its roots to round-off, or any generic step) is solved by
+    ``implicit_step_generic``; the kernel then resumes at k + 1 over
+    ``_RESUME_WINDOW`` steps, a window that doubles up to
+    ``_STEP_WINDOW`` while no step fails.
     """
     if noise.grid != config.grid:
         raise ValueError("noise grid does not match configuration grid")
@@ -322,49 +340,6 @@ def simulate(config: SandwichConfig, noise: NoisePath,
             f"mesh {config.mesh:.6g} exceeds the admissible maximum "
             f"{max_mesh(config):.6g}; pass unsafe_mesh=True to override")
     mode = _choose_stepper(config.drift, stepper)
-    if mode == "bracketed_generic":
-        values, residuals = _generic_path(config, noise, tol)
-    else:
-        values, residuals = _closed_form_path(config, noise, mode, tol)
-    return SimulatedPath(grid=config.grid, values=values,
-                         noise_seed=noise.seed, stepper=mode,
-                         residuals=residuals)
-
-
-def _generic_path(config: SandwichConfig, noise: NoisePath, tol: float) -> tuple:
-    drift = config.drift
-    n, delta = config.grid_points, config.mesh
-    tt = config.grid.points
-    dz = np.diff(noise.values)
-    values = np.empty(n + 1)
-    residuals = np.zeros(n + 1)
-    values[0] = y = config.y0
-    for k in range(1, n + 1):
-        y, residuals[k] = _generic_step(drift, tt[k], delta, y + dz[k - 1], tol, k)
-        values[k] = y
-    return values, residuals
-
-
-_RESUME_WINDOW = 64
-# Steps per call of a closed-form kernel: bounds the per-step lists (the
-# TSB cubic's coefficients among them) whatever the path length.
-_STEP_WINDOW = 2048
-
-
-def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
-                      tol: float) -> tuple:
-    """The closed-form routes: a loop on Python floats, then array checks.
-
-    Barriers and constants are evaluated once per path, and the TSB
-    cubic's z-independent coefficients with numpy on the grid. The path
-    is stepped in windows of at most ``_STEP_WINDOW`` steps: one fused
-    kernel steps through a window, and one array call of ``drift.b``
-    checks the residual contract on the steps it took. The window's
-    first failing step k, a contract miss or the TSB step whose cubic
-    lost its roots to round-off, is solved by the generic solver; the
-    closed form then resumes at k + 1 over ``_RESUME_WINDOW`` steps, a
-    window that doubles up to ``_STEP_WINDOW`` while no step fails.
-    """
     drift = config.drift
     params = drift.param_dict
     n, delta = config.grid_points, config.mesh
@@ -377,7 +352,7 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
     if mode == "closed_form_cir":
         def steps(y, w0, w1):
             return _cir_steps(y, dz[w0:w1].tolist(), params, delta)
-    else:
+    elif mode == "cardano_tsb":
         scale = _tsb_scale(delta, params["kappa3"])
         phi, psi = drift.bounds.values(tt)
 
@@ -387,6 +362,9 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
                               _tsb_affine(lo, hi, delta, params["kappa1"],
                                           params["kappa2"], scale),
                               lo.tolist(), hi.tolist(), scale)
+    else:
+        def steps(y, w0, w1):
+            return []
 
     start, window = 0, _STEP_WINDOW
     while start < n:
@@ -412,24 +390,18 @@ def _closed_form_path(config: SandwichConfig, noise: NoisePath, mode: str,
             start, window = stop, min(2 * window, _STEP_WINDOW)
             continue
         k += 1
-        values[k], residuals[k] = _generic_step(
-            drift, float(tt[k]), delta, float(values[k - 1] + dz[k - 1]), tol, k)
+        # float64 scalars, not Python floats: a drift's power overflows to
+        # inf on them, where on a float it raises OverflowError.
+        t, z = tt[k], values[k - 1] + dz[k - 1]
+        try:
+            values[k], residuals[k] = implicit_step_generic(drift, t, delta, z, tol=tol)
+        except (StepError, DomainError) as exc:
+            kind = type(exc) if isinstance(exc, StepError) else StepError
+            raise kind(f"step {k} (t={t:.6g}, rhs={z:.6g}): {exc}") from exc
         start, window = k, _RESUME_WINDOW
-    return values, residuals
-
-
-def _generic_step(drift: DriftSpec, t_next: float, delta: float, z: float,
-                  tol: float, k: int) -> tuple:
-    """Step k by the bracketed solver: (y, residual).
-
-    A failure raises StepError (or its subclass) naming the step; a
-    drift's DomainError becomes a StepError.
-    """
-    try:
-        return implicit_step_generic(drift, t_next, delta, z, tol=tol)
-    except (StepError, DomainError) as exc:
-        kind = type(exc) if isinstance(exc, StepError) else StepError
-        raise kind(f"step {k} (t={t_next:.6g}, rhs={z:.6g}): {exc}") from exc
+    return SimulatedPath(grid=config.grid, values=values,
+                         noise_seed=noise.seed, stepper=mode,
+                         residuals=residuals)
 
 
 def check_sandwich(path: SimulatedPath, config: SandwichConfig,

@@ -107,6 +107,12 @@ class TestStudySpecValidation:
             ConvergenceStudySpec(config=cir_config(8), driver=fbm(0.7),
                                  mesh_list=(64,), reference_n=128, paths=2)
 
+    @pytest.mark.parametrize("r", [0.5, float("nan"), float("inf")])
+    def test_rejects_bad_moment_order(self, r):
+        with pytest.raises(ValueError, match="moment order"):
+            ConvergenceStudySpec(config=cir_config(8), driver=fbm(0.7),
+                                 mesh_list=(16,), reference_n=512, paths=2, r=r)
+
     def test_sorts_meshes(self):
         spec = ConvergenceStudySpec(config=cir_config(8), driver=fbm(0.7),
                                     mesh_list=(32, 8, 16), reference_n=512,

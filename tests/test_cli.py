@@ -553,6 +553,26 @@ class TestConvergenceCommand:
         assert code == 1
         assert "12" in capsys.readouterr().err
 
+    def test_reference_too_close_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, cir_config_dict())
+        code = main(["convergence", "--config", cfg, "--out", str(tmp_path),
+                     "--meshes", "128", "--ref", "512"])
+        assert code == 1
+        assert "at least 8x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--meshes=0", "--meshes=abc", "--meshes=-8",
+                                      "--meshes=16,", "--paths=0", "--ref=0",
+                                      "--r=0.5", "--r=nan", "--r=inf"])
+    def test_bad_flags_exit_two(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, cir_config_dict())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--config", cfg, "--out", str(out),
+                  "--meshes", "16,32", "--ref", "512", "--paths", "2", flag])
+        assert exc.value.code == 2
+        assert f"argument {flag.split('=')[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_path_notes_missing_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, cir_config_dict())
         out = tmp_path / "out"

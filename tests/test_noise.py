@@ -184,6 +184,20 @@ class TestSamplePath:
         assert abs(np.mean(normalized)) < 5.0 / np.sqrt(n)
         assert abs(np.var(normalized) - 1.0) < 5.0 * np.sqrt(2.0 / n)
 
+    @pytest.mark.parametrize("n, layout", [(300, "dense"), (256, "dense"),
+                                           (256, "short")])
+    def test_cov_of_wrong_shape_rejected(self, monkeypatch, n, layout):
+        spec, grid = mbm_sin(0.5, 0.2, 2 * np.pi), TimeGrid(1.0, n)
+        packed = covariance_matrix(spec, grid, packed=True)
+        cov = covariance_matrix(spec, grid) if layout == "dense" else packed[:-5]
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("factor work began")
+
+        monkeypatch.setattr(noise_module, "_factor_for", no_factor)
+        with pytest.raises(ValueError, match=rf"packed=True.* {len(packed)} values"):
+            sample_path(spec, grid, 1, cov=cov)
+
     def test_path_rejects_nonzero_start(self):
         grid = TimeGrid(1.0, 2)
         with pytest.raises(ValueError):

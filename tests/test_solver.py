@@ -632,6 +632,71 @@ class TestClosedFormLoop:
                 assert abs(resid) > bound
 
 
+def generic_chain(cfg, noise, tol=1e-12):
+    """The generic route rebuilt as a chain of ``implicit_step_generic``
+    calls fed the float64 grid points and right-hand sides."""
+    tt, dz = cfg.grid.points, np.diff(noise.values)
+    values = np.empty(cfg.grid_points + 1)
+    residuals = np.zeros(cfg.grid_points + 1)
+    values[0] = cfg.y0
+    for k in range(1, cfg.grid_points + 1):
+        values[k], residuals[k] = implicit_step_generic(
+            cfg.drift, tt[k], cfg.mesh, values[k - 1] + dz[k - 1], tol=tol)
+    return values, residuals
+
+
+def sin_power_sandwich():
+    bounds = BoundFunctions(sin_bound(0.0, 1.0, 10.0),
+                            sin_bound(2.0, 1.0, 10.0), 0.29, 20.0, 1.0)
+    return power_sandwich_drift(1.0, 1.0, 4.0, bounds)
+
+
+class TestGenericRoute:
+    """``stepper="generic"`` runs the window loop with a kernel that takes
+    no step, so every step is the loop's fallback solve."""
+
+    @pytest.mark.parametrize("y0, drift", [(1.0, sin_power_sandwich()),
+                                           (1.0, CIR_11),
+                                           (0.0, symmetric_tsb())])
+    def test_matches_chain_of_generic_steps(self, y0, drift):
+        cfg = SandwichConfig(y0, drift, 1024)
+        noise = generate_noise(fbm(0.7), cfg.grid, 5)
+        path = simulate(cfg, noise, stepper="generic")
+        assert path.stepper == "bracketed_generic"
+        values, residuals = generic_chain(cfg, noise)
+        assert np.array_equal(path.values, values)
+        assert np.array_equal(path.residuals, residuals)
+
+    def test_huge_shock_returns_a_path(self):
+        # At y ~ 1e160 the CIR db_dy's y**2 overflows to inf on float64
+        # scalars, a harmless -kappa1/inf; on a Python float it would
+        # raise OverflowError.
+        cfg = SandwichConfig(1.0, CIR_11, 1024)
+        values = generate_noise(fbm(0.7), cfg.grid, 3).values
+        values[100:] += 1e160
+        noise = NoisePath(grid=cfg.grid, values=values, seed=3, spec=brownian())
+        with np.errstate(over="ignore"):
+            path = simulate(cfg, noise, stepper="generic")
+            chain = generic_chain(cfg, noise)
+        assert path.values[100] > 1e159
+        assert np.array_equal(path.values, chain[0])
+        assert np.array_equal(path.residuals, chain[1])
+
+    def test_generic_solver_called_once_per_step(self, monkeypatch):
+        # The benchmark trace counts generic steps through this hook.
+        calls = []
+        generic = solver.implicit_step_generic
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return generic(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "implicit_step_generic", counting)
+        cfg = SandwichConfig(1.0, sin_power_sandwich(), 300)
+        simulate(cfg, generate_noise(fbm(0.7), cfg.grid, 2), stepper="generic")
+        assert calls == list(cfg.grid.points[1:])
+
+
 _HORIZON = 0.25
 _MAGNITUDE = st.floats(1e-12, 1e12)
 _SIGNED = st.builds(lambda sign, m: sign * m, st.sampled_from((-1.0, 1.0)),
