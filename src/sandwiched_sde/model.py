@@ -12,7 +12,8 @@ constants that bound how close paths can get to the barriers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,8 +108,11 @@ class DriftSpec:
     built-in families raise DomainError unless phi(t) < y < psi(t).
     c1, p: local Lipschitz scale and blow-up power; c2, gamma, y_star:
     repulsion strength, power, and zone width near the barriers; c3: an
-    upper bound on db/dy. ``family`` and ``params`` identify the built-in
-    closed forms used by the solver's specialized steppers.
+    upper bound on db/dy. ``closed_form`` is ``(route, constants)`` when
+    the implicit step has a closed form the solver runs by that route
+    label, ``("closed_form_cir", (kappa1, kappa2))`` or
+    ``("cardano_tsb", (kappa1, kappa2, kappa3))``; None (the generic
+    route) otherwise.
     """
 
     b: Callable[[float, float], float]
@@ -121,8 +125,7 @@ class DriftSpec:
     c3: float
     kind: str
     bounds: BoundFunctions
-    family: str = "custom"
-    params: tuple = field(default=())
+    closed_form: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in (ONE_SIDED, TWO_SIDED):
@@ -134,10 +137,6 @@ class DriftSpec:
                 raise ValueError(f"{name} must be positive")
         if self.p <= 1.0:
             raise ValueError("blow-up power p must exceed 1")
-
-    @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
 
 
 @dataclass(frozen=True)
@@ -221,6 +220,41 @@ def _domain_values(bounds: BoundFunctions, t, y) -> tuple:
     return lo, hi
 
 
+def _power_drift(kappa1, kappa2, gamma, bounds, kappa3=None):
+    """The DriftSpec fields every built-in family shares, as a partial that
+    the family completes with c1, c2, y_star and c3: b and db/dy of
+    kappa1/(y-phi)^gamma - kappa2/(psi-y)^gamma - kappa3*y, after the
+    parameter checks, and the closed form the step has when gamma = 1.
+
+    CIR passes no kappa3: its kappa2 becomes kappa3, the upper kappa is 0
+    and psi = +inf. As y - 0 = y, 0/(inf - y)^gamma = 0 and a - 0 = a,
+    its values are bitwise those of kappa1/y^gamma - kappa2*y.
+    """
+    if kappa1 <= 0 or kappa2 <= 0:
+        raise ValueError("kappa1 and kappa2 must be positive")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    closed_form = ("cardano_tsb", (kappa1, kappa2, kappa3))
+    if kappa3 is None:
+        closed_form = ("closed_form_cir", (kappa1, kappa2))
+        kappa2, kappa3 = 0.0, kappa2
+
+    def b(t, y):
+        lo, hi = _domain_values(bounds, t, y)
+        return (kappa1 / (y - lo) ** gamma
+                - kappa2 / (hi - y) ** gamma
+                - kappa3 * y)
+
+    def db_dy(t, y):
+        lo, hi = _domain_values(bounds, t, y)
+        return (-kappa1 * gamma / (y - lo) ** (gamma + 1.0)
+                - kappa2 * gamma / (hi - y) ** (gamma + 1.0)
+                - kappa3)
+    return partial(DriftSpec, b=b, db_dy=db_dy, p=gamma + 1.0, gamma=gamma,
+                   kind=TWO_SIDED if bounds.two_sided else ONE_SIDED, bounds=bounds,
+                   closed_form=closed_form if gamma == 1.0 else None)
+
+
 def cir_drift(kappa1: float, kappa2: float, gamma: float,
               holder_exponent: float, horizon: float) -> DriftSpec:
     """Generalized CIR drift b(t, y) = kappa1 / y^gamma - kappa2 * y.
@@ -230,36 +264,13 @@ def cir_drift(kappa1: float, kappa2: float, gamma: float,
     y_star = (kappa1 / (2 kappa2))^(1/(gamma+1)), p = gamma + 1 and
     c1 = kappa1*gamma + kappa2, and c3 = 1 (db/dy is negative).
     """
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise ValueError("kappa1 and kappa2 must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     bounds = BoundFunctions(
         phi=constant_bound(0.0), psi=None,
         holder_exponent=holder_exponent, holder_constant=0.0, horizon=horizon,
     )
-
-    def b(t, y):
-        _domain_values(bounds, t, y)
-        return kappa1 / y ** gamma - kappa2 * y
-
-    def db_dy(t, y):
-        _domain_values(bounds, t, y)
-        return -kappa1 * gamma / y ** (gamma + 1.0) - kappa2
-
-    return DriftSpec(
-        b=b, db_dy=db_dy,
-        c1=kappa1 * gamma + kappa2,
-        p=gamma + 1.0,
-        c2=kappa1 / 2.0,
-        gamma=gamma,
-        y_star=(kappa1 / (2.0 * kappa2)) ** (1.0 / (gamma + 1.0)),
-        c3=1.0,
-        kind=ONE_SIDED,
-        bounds=bounds,
-        family="cir",
-        params=(("kappa1", kappa1), ("kappa2", kappa2), ("gamma", gamma)),
-    )
+    spec = _power_drift(kappa1, kappa2, gamma, bounds)
+    return spec(c1=kappa1 * gamma + kappa2, c2=kappa1 / 2.0,
+                y_star=(kappa1 / (2.0 * kappa2)) ** (1.0 / (gamma + 1.0)), c3=1.0)
 
 
 def _sandwich_repulsion_zone(kappa1, kappa2, kappa3, gamma, gap_min, y_max):
@@ -277,11 +288,8 @@ def _sandwich_repulsion_zone(kappa1, kappa2, kappa3, gamma, gap_min, y_max):
     raise ValueError("could not find a repulsion zone; drift parameters degenerate")
 
 
-def _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds, family):
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise ValueError("kappa1 and kappa2 must be positive")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+def _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds):
+    spec = _power_drift(kappa1, kappa2, gamma, bounds, kappa3)
     phi_t, psi_t = bounds.values(np.linspace(0.0, bounds.horizon, _DENSE))
     gap_min = float(np.min(psi_t - phi_t))
     if not 0.0 < gap_min < math.inf:  # psi is +inf when missing
@@ -289,33 +297,8 @@ def _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds, family):
     y_max = float(np.max(np.abs(np.stack([phi_t, psi_t]))))
     c2, y_star = _sandwich_repulsion_zone(kappa1, kappa2, kappa3, gamma,
                                           gap_min, y_max)
-
-    def b(t, y):
-        lo, hi = _domain_values(bounds, t, y)
-        return (kappa1 / (y - lo) ** gamma
-                - kappa2 / (hi - y) ** gamma
-                - kappa3 * y)
-
-    def db_dy(t, y):
-        lo, hi = _domain_values(bounds, t, y)
-        return (-kappa1 * gamma / (y - lo) ** (gamma + 1.0)
-                - kappa2 * gamma / (hi - y) ** (gamma + 1.0)
-                - kappa3)
-
-    return DriftSpec(
-        b=b, db_dy=db_dy,
-        c1=gamma * (kappa1 + kappa2) * (1.0 + bounds.holder_constant) + abs(kappa3),
-        p=gamma + 1.0,
-        c2=c2,
-        gamma=gamma,
-        y_star=y_star,
-        c3=max(1.0, 1.0 - kappa3),
-        kind=TWO_SIDED,
-        bounds=bounds,
-        family=family,
-        params=(("kappa1", kappa1), ("kappa2", kappa2),
-                ("kappa3", kappa3), ("gamma", gamma)),
-    )
+    c1 = gamma * (kappa1 + kappa2) * (1.0 + bounds.holder_constant) + abs(kappa3)
+    return spec(c1=c1, c2=c2, y_star=y_star, c3=max(1.0, 1.0 - kappa3))
 
 
 def tsb_drift(kappa1: float, kappa2: float, kappa3: float,
@@ -325,15 +308,14 @@ def tsb_drift(kappa1: float, kappa2: float, kappa3: float,
     The classical bounded-noise TSB model -kappa*y/(1-y^2) is the case
     phi == -1, psi == 1, kappa1 = kappa2 = kappa/2, kappa3 = 0.
     """
-    return _two_sided_drift(kappa1, kappa2, kappa3, 1.0, bounds, family="tsb")
+    return _two_sided_drift(kappa1, kappa2, kappa3, 1.0, bounds)
 
 
 def power_sandwich_drift(kappa1: float, kappa2: float, gamma: float,
                          bounds: BoundFunctions,
                          kappa3: float = 0.0) -> DriftSpec:
     """Two-sided drift with repulsion power gamma at both barriers."""
-    return _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds,
-                            family="power_sandwich")
+    return _two_sided_drift(kappa1, kappa2, kappa3, gamma, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Each step solves y - b(t_next, y) * delta = z for the next state, where
 z = Y_prev + dZ. The map on the left is strictly increasing under the
 mesh condition c3 * delta < 1 and diverges at the barriers, so the step
 has a unique in-domain solution and the scheme preserves the sandwich.
-Closed forms exist for the CIR family (quadratic) and the TSB family
-(cubic via Cardano); everything else goes through a bracketed,
+A drift's ``closed_form`` names its closed-form route, CIR (quadratic)
+or TSB (cubic via Cardano); everything else goes through a bracketed,
 safeguarded Newton solve.
 """
 
@@ -75,32 +75,37 @@ def implicit_step_cir(drift: DriftSpec, t_next: float, delta: float,
     Solves y = rhs + (kappa1/y - kappa2*y)*delta for the unique positive
     root; the discriminant is positive for any rhs when kappa1 > 0. The
     CIR drift does not depend on t_next. A one-step window of the kernel
-    that ``simulate`` runs, so both take the same floating-point path.
+    that ``simulate`` runs, so both take the same floating-point path;
+    ValueError for a drift without this closed form.
     """
-    return _cir_steps(rhs, [0.0], drift.param_dict, delta)[0]
+    return _one_step("closed_form_cir", drift, t_next, delta, rhs)
 
 
-def _cir_steps(y: float, dz, params: dict, delta: float) -> list:
-    """Closed-form CIR steps from y over the increments dz.
+def _cir_window(constants: tuple, delta: float, tt, dz, bounds):
+    """Closed-form CIR steps over dz[w0:w1] from y.
 
     Each step is the positive root of s y^2 - z y - kappa1*delta = 0
     with s = 1 + kappa2*delta and z = y_prev + dz. For z < 0 the
     rationalized form avoids cancelling sqrt(z^2 + c) against -z, where
     c = 4*kappa1*delta*s.
     """
-    scale = 1.0 + params["kappa2"] * delta
-    c, two_scale = 4.0 * params["kappa1"] * delta * scale, 2.0 * scale
+    kappa1, kappa2 = constants
+    scale = 1.0 + kappa2 * delta
+    c, two_scale = 4.0 * kappa1 * delta * scale, 2.0 * scale
     sqrt = math.sqrt
-    out = []
-    append = out.append
-    for d in dz:
-        z = y + d
-        if z < 0.0:
-            y = c / (two_scale * (sqrt(z * z + c) - z))
-        else:
-            y = (z + sqrt(z * z + c)) / two_scale
-        append(y)
-    return out
+
+    def steps(y, w0, w1):
+        out = []
+        append = out.append
+        for d in dz[w0:w1].tolist():
+            z = y + d
+            if z < 0.0:
+                y = c / (two_scale * (sqrt(z * z + c) - z))
+            else:
+                y = (z + sqrt(z * z + c)) / two_scale
+            append(y)
+        return out
+    return steps
 
 
 def _tsb_scale(delta: float, kappa3: float) -> float:
@@ -185,22 +190,53 @@ def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float) -> list:
     return out
 
 
+def _tsb_window(constants: tuple, delta: float, tt, dz, bounds):
+    """Cardano TSB steps over dz[w0:w1] from y: the barriers once on the
+    grid tt, the cubic's z-independent coefficients once per window."""
+    kappa1, kappa2, kappa3 = constants
+    scale = _tsb_scale(delta, kappa3)
+    phi, psi = bounds.values(tt)
+
+    def steps(y, w0, w1):
+        lo, hi = phi[w0 + 1:w1 + 1], psi[w0 + 1:w1 + 1]
+        return _tsb_steps(y, dz[w0:w1].tolist(),
+                          _tsb_affine(lo, hi, delta, kappa1, kappa2, scale),
+                          lo.tolist(), hi.tolist(), scale)
+    return steps
+
+
 def implicit_step_tsb(drift: DriftSpec, t_next: float, delta: float,
                       rhs: float) -> float:
     """Implicit TSB step: the unique cubic root inside (phi, psi).
 
     A one-step window of the kernel that ``simulate`` runs, so both
-    take the same floating-point path.
+    take the same floating-point path; ValueError for a drift without
+    this closed form.
     """
-    params = drift.param_dict
-    phi_next, psi_next = drift.bounds.values(t_next)
-    scale = _tsb_scale(delta, params["kappa3"])
-    coefs = _tsb_affine(np.array([phi_next]), np.array([psi_next]), delta,
-                        params["kappa1"], params["kappa2"], scale)
-    out = _tsb_steps(rhs, [0.0], coefs, [phi_next], [psi_next], scale)
+    return _one_step("cardano_tsb", drift, t_next, delta, rhs)
+
+
+# Window kernels by route: (constants, delta, grid points tt, increments dz,
+# bounds) -> steps(y, w0, w1), the steps w0 + 1 .. w1 from y = Y(t_w0) up to
+# the first one the kernel cannot take. The generic kernel takes none.
+_WINDOWS = {
+    "closed_form_cir": _cir_window,
+    "cardano_tsb": _tsb_window,
+    "bracketed_generic": lambda *args: lambda y, w0, w1: [],
+}
+
+
+def _one_step(route: str, drift: DriftSpec, t_next: float, delta: float,
+              rhs: float) -> float:
+    """The step of ``route``'s window kernel at t_next from rhs."""
+    if drift.closed_form is None or drift.closed_form[0] != route:
+        raise ValueError(f"the drift has no {route} closed form")
+    # The kernel reads the barriers at tt[1] only.
+    out = _WINDOWS[route](drift.closed_form[1], delta, np.full(2, t_next),
+                          np.zeros(1), drift.bounds)(rhs, 0, 1)
     if not out:
         raise StepError(
-            f"expected exactly one real root in ({phi_next}, {psi_next}) "
+            f"expected exactly one real root in {drift.bounds.values(t_next)} "
             f"for rhs={rhs}; mesh condition likely violated")
     return out[0]
 
@@ -285,23 +321,17 @@ def implicit_step_generic(drift: DriftSpec, t_next: float, delta: float,
     raise StepError(f"step did not converge at t={t}: residual {resid:.3e}")
 
 
-def _choose_stepper(drift: DriftSpec, stepper: str) -> str:
-    """The route label for ``stepper`` (auto, closed or generic)."""
+def _choose_stepper(drift: DriftSpec, stepper: str) -> tuple:
+    """(route label, constants) for ``stepper`` (auto, closed or generic)."""
     if stepper not in ("auto", "closed", "generic"):
         raise ValueError(f"unknown stepper {stepper!r}")
-    if stepper == "generic":
-        return "bracketed_generic"
-    closed = None
-    if drift.family == "cir" and drift.param_dict.get("gamma") == 1.0:
-        closed = "closed_form_cir"
-    elif drift.family in ("tsb", "power_sandwich") \
-            and drift.param_dict.get("gamma") == 1.0:
-        closed = "cardano_tsb"
-    if stepper == "closed" and closed is None:
-        raise ValueError(
-            f"no closed-form stepper for family {drift.family!r} "
-            f"with gamma={drift.param_dict.get('gamma')}")
-    return closed or "bracketed_generic"
+    if stepper == "generic" or drift.closed_form is None:
+        if stepper == "closed":
+            raise ValueError("no closed-form stepper for this drift")
+        return "bracketed_generic", None
+    if drift.closed_form[0] not in _WINDOWS:
+        raise ValueError(f"unknown closed-form route {drift.closed_form[0]!r}")
+    return drift.closed_form
 
 
 _RESUME_WINDOW = 64
@@ -339,9 +369,8 @@ def simulate(config: SandwichConfig, noise: NoisePath,
         raise ValueError(
             f"mesh {config.mesh:.6g} exceeds the admissible maximum "
             f"{max_mesh(config):.6g}; pass unsafe_mesh=True to override")
-    mode = _choose_stepper(config.drift, stepper)
     drift = config.drift
-    params = drift.param_dict
+    mode, constants = _choose_stepper(drift, stepper)
     n, delta = config.grid_points, config.mesh
     tt = config.grid.points
     dz = np.diff(noise.values)
@@ -349,22 +378,7 @@ def simulate(config: SandwichConfig, noise: NoisePath,
     residuals = np.zeros(n + 1)
     values[0] = config.y0
 
-    if mode == "closed_form_cir":
-        def steps(y, w0, w1):
-            return _cir_steps(y, dz[w0:w1].tolist(), params, delta)
-    elif mode == "cardano_tsb":
-        scale = _tsb_scale(delta, params["kappa3"])
-        phi, psi = drift.bounds.values(tt)
-
-        def steps(y, w0, w1):
-            lo, hi = phi[w0 + 1:w1 + 1], psi[w0 + 1:w1 + 1]
-            return _tsb_steps(y, dz[w0:w1].tolist(),
-                              _tsb_affine(lo, hi, delta, params["kappa1"],
-                                          params["kappa2"], scale),
-                              lo.tolist(), hi.tolist(), scale)
-    else:
-        def steps(y, w0, w1):
-            return []
+    steps = _WINDOWS[mode](constants, delta, tt, dz, drift.bounds)
 
     start, window = 0, _STEP_WINDOW
     while start < n:

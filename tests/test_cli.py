@@ -47,7 +47,7 @@ class TestParseConfig:
         rc = parse_config(cir_config_dict())
         assert rc.config.y0 == 1.0
         assert rc.config.grid_points == 256
-        assert rc.config.drift.family == "cir"
+        assert rc.config.drift.closed_form == ("closed_form_cir", (1.0, 1.0))
         assert rc.driver.kind == "fbm" and rc.driver.hurst == 0.7
         assert rc.seed == 11 and rc.paths == 2
         assert rc.stepper == "auto" and rc.tol == 1e-12
@@ -98,7 +98,8 @@ class TestParseConfig:
             "run": {"T": 1.0, "N": 128},
         }
         rc = parse_config(data)
-        assert rc.config.drift.family == "power_sandwich"
+        assert (rc.config.drift.kind, rc.config.drift.gamma,
+                rc.config.drift.closed_form) == ("two-sided", 4.0, None)
         assert rc.driver.kind == "mbm"
         assert float(rc.config.drift.bounds.phi(0.0)) == 0.0
 
@@ -561,7 +562,8 @@ class TestConvergenceCommand:
         assert "at least 8x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--meshes=0", "--meshes=abc", "--meshes=-8",
-                                      "--meshes=16,", "--paths=0", "--ref=0",
+                                      "--meshes=16,", "--meshes=16,16",
+                                      "--paths=0", "--ref=0",
                                       "--r=0.5", "--r=nan", "--r=inf"])
     def test_bad_flags_exit_two(self, tmp_path, capsys, flag):
         cfg = write_config(tmp_path, cir_config_dict())

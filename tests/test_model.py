@@ -188,6 +188,50 @@ class TestBoundValues:
         assert np.array_equal(mask, kind < 2)
 
 
+class TestSharedFormula:
+    """Every family builds b and db_dy from one two-sided formula; each
+    must still give the bits of its own literal formula."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.5])
+    def test_cir_bits(self, gamma):
+        k1, k2 = 0.7, 1.3
+        drift = cir_drift(k1, k2, gamma, 0.7, 1.0)
+        ys = np.geomspace(1e-300, 1e150, 4001)
+        tt = np.linspace(0.0, 1.0, ys.size)
+        # y^gamma underflows to 0 and overflows to inf at the ends.
+        with np.errstate(divide="ignore", over="ignore"):
+            assert np.array_equal(drift.b(tt, ys), k1 / ys ** gamma - k2 * ys)
+            assert np.array_equal(drift.db_dy(tt, ys),
+                                  -k1 * gamma / ys ** (gamma + 1.0) - k2)
+            for t, y in zip(tt[::400], ys[::400]):
+                assert drift.b(t, y) == k1 / y ** gamma - k2 * y
+
+    @pytest.mark.parametrize("name", ["constant", "sin"])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 4.0])
+    def test_two_sided_bits(self, name, gamma):
+        k1, k2, k3 = 0.7, 1.3, 0.25
+        bounds = BOUNDS[name]
+        drift = (tsb_drift(k1, k2, k3, bounds) if gamma == 1.0
+                 else power_sandwich_drift(k1, k2, gamma, bounds, kappa3=k3))
+        frac = np.geomspace(1e-12, 0.5, 41)
+        frac = np.concatenate([frac, 1.0 - frac])
+        tt = np.repeat(np.linspace(0.0, 1.0, 101), frac.size)
+        if name == "sin":
+            lo, hi = np.sin(10.0 * tt), 2.0 + np.sin(10.0 * tt)
+        else:
+            lo, hi = np.full_like(tt, -1.0), np.full_like(tt, 1.0)
+        ys = lo + (hi - lo) * np.tile(frac, 101)
+        if gamma == 1.0:  # the TSB drift as written in its docstring
+            b = k1 / (ys - lo) - k2 / (hi - ys) - k3 * ys
+            db = -k1 / (ys - lo) ** 2.0 - k2 / (hi - ys) ** 2.0 - k3
+        else:
+            b = k1 / (ys - lo) ** gamma - k2 / (hi - ys) ** gamma - k3 * ys
+            db = (-k1 * gamma / (ys - lo) ** (gamma + 1.0)
+                  - k2 * gamma / (hi - ys) ** (gamma + 1.0) - k3)
+        assert np.array_equal(drift.b(tt, ys), b)
+        assert np.array_equal(drift.db_dy(tt, ys), db)
+
+
 class TestValidateAssumptions:
     def test_cir_reference_parameters_all_pass(self):
         d = cir_drift(1.0, 1.0, 1.0, 0.7, 1.0)

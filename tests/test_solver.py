@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -231,6 +232,22 @@ class TestImplicitStepTsb:
             assert got == pytest.approx(oracle, abs=1e-10, rel=1e-10)
 
 
+UNIT_BOUNDS = BoundFunctions(constant_bound(-1.0), constant_bound(1.0), 0.7, 0.0, 1.0)
+POWER_4 = power_sandwich_drift(1.0, 1.0, 4.0, UNIT_BOUNDS)
+
+
+@pytest.mark.parametrize("step, route, drift", [
+    (implicit_step_cir, "closed_form_cir", tsb_drift(0.5, 0.5, 0.0, UNIT_BOUNDS)),
+    (implicit_step_cir, "closed_form_cir", cir_drift(1.0, 1.0, 2.0, 0.7, 1.0)),
+    (implicit_step_cir, "closed_form_cir", POWER_4),
+    (implicit_step_tsb, "cardano_tsb", POWER_4),
+    (implicit_step_tsb, "cardano_tsb", CIR_11),
+])
+def test_one_step_forms_reject_drifts_they_do_not_cover(step, route, drift):
+    with pytest.raises(ValueError, match=route):
+        step(drift, 0.5, 1e-3, 0.3)
+
+
 class TestImplicitStepGeneric:
     def test_identity_when_drift_vanishes(self):
         bounds = BoundFunctions(constant_bound(-1e6), None, 0.5, 0.0, 1.0)
@@ -406,6 +423,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(cfg, zero_noise(cfg.grid), stepper="closed")
 
+    def test_rejects_unknown_closed_form_route(self):
+        drift = replace(CIR_11, closed_form=("no_such_route", (1.0, 1.0)))
+        cfg = SandwichConfig(1.0, drift, 16)
+        with pytest.raises(ValueError, match="no_such_route"):
+            simulate(cfg, zero_noise(cfg.grid))
+
 
 def stepwise_reference(cfg, noise, tol=1e-12):
     """simulate() rebuilt from the public one-step solvers."""
@@ -427,7 +450,7 @@ def reference_step(cfg, t_next, y_prev, dz, tol=1e-12):
     drift = cfg.drift
     delta = cfg.mesh
     z = y_prev + dz
-    if drift.family == "cir":
+    if drift.closed_form[0] == "closed_form_cir":
         y = implicit_step_cir(drift, t_next, delta, z)
     else:
         try:
