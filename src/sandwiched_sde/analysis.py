@@ -21,7 +21,7 @@ import numpy as np
 from .model import SandwichConfig, ckls_transform
 from .noise import GaussianDriverSpec, NoisePath, TimeGrid, generate_noise, \
     restrict_to_coarse
-from .solver import SimulatedPath, simulate
+from .solver import DEFAULT_TOL, SimulatedPath, simulate
 
 __all__ = [
     "ConvergenceStudySpec",
@@ -47,7 +47,7 @@ class ConvergenceStudySpec:
     seed_base: int = 0
     lam_expected: Optional[float] = None
     stepper: str = "auto"
-    tol: float = 1e-12
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.paths < 1:

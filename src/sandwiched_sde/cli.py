@@ -24,7 +24,7 @@ from .analysis import ConvergenceStudySpec, run_convergence_study
 from .config import ConfigError, load_config
 from .model import max_mesh, mesh_terms, validate_assumptions
 from .noise import _symmetric_rows, generate_noise, sample_path
-from .solver import StepError, check_sandwich, simulate
+from .solver import STEPPERS, StepError, check_sandwich, simulate
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -241,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol", type=_tol, default=None)
-        p.add_argument("--stepper", choices=("auto", "closed", "generic"),
-                       default=None)
+        p.add_argument("--stepper", choices=STEPPERS, default=None)
 
     p = sub.add_parser("validate", help="check the sandwich assumptions")
     common(p)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import model, noise
+from .solver import DEFAULT_TOL, STEPPERS
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -194,9 +195,9 @@ def parse_config(data: dict) -> RunConfig:
     seed = _integer(run, "run", "seed", 0, positive=False)
     paths = _integer(run, "run", "paths", 1)
     stepper = run.get("stepper", "auto")
-    if stepper not in ("auto", "closed", "generic"):
+    if stepper not in STEPPERS:
         raise ConfigError("run.stepper must be auto, closed, or generic")
-    tol = _number(run, "run", "tol", 1e-12)
+    tol = _number(run, "run", "tol", DEFAULT_TOL)
     for key, value in (("T", horizon), ("tol", tol)):
         if value <= 0.0:
             raise ConfigError(f"run.{key} must be positive")

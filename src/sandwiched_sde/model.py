@@ -404,7 +404,7 @@ def validate_assumptions(config: SandwichConfig) -> ValidationReport:
     detail, status = "barriers sampled on 257 points", "spot-checked"
     if np.any(psi_t <= phi_t):  # never one-sided, where psi is +inf
         status, detail = "fail", "psi does not stay strictly above phi"
-    if status != "fail" and bounds.holder_constant >= 0.0:
+    if status != "fail":
         diffs = np.abs(phi_t[:, None] - phi_t[None, :])
         if two:
             diffs = diffs + np.abs(psi_t[:, None] - psi_t[None, :])
@@ -416,16 +416,14 @@ def validate_assumptions(config: SandwichConfig) -> ValidationReport:
             detail = "sampled barrier increments exceed K |t-s|^lambda"
     checks.append(CheckResult("barriers", status, detail))
 
-    # (A2)/(B2): p > 1 plus lattice spot checks of the local Lipschitz bound.
-    if drift.p <= 1.0:
-        checks.append(CheckResult(f"({tag}2)", "fail", f"p={drift.p} <= 1"))
-    else:
-        problem = None
-        for eps in (drift.y_star / 4.0, drift.y_star / 2.0, drift.y_star):
-            problem = _spot_check_lipschitz(config, eps) or problem
-        checks.append(CheckResult(
-            f"({tag}2)", "fail" if problem else "spot-checked",
-            problem or f"c1={drift.c1:.6g}, p={drift.p:.6g} on 3 lattices"))
+    # (A2)/(B2): lattice spot checks of the local Lipschitz bound (DriftSpec
+    # holds p > 1).
+    problem = None
+    for eps in (drift.y_star / 4.0, drift.y_star / 2.0, drift.y_star):
+        problem = _spot_check_lipschitz(config, eps) or problem
+    checks.append(CheckResult(
+        f"({tag}2)", "fail" if problem else "spot-checked",
+        problem or f"c1={drift.c1:.6g}, p={drift.p:.6g} on 3 lattices"))
 
     # (A3)/(B3): power condition (exact arithmetic) and repulsion spot check.
     need = 1.0 / lam - 1.0
@@ -476,10 +474,7 @@ def mesh_terms(config: SandwichConfig) -> dict:
 
 def max_mesh(config: SandwichConfig) -> float:
     """Largest admissible mesh (with a 0.99 safety factor), clamped to T."""
-    rate = max(mesh_terms(config).values())
-    if rate <= 0.0:
-        return config.horizon
-    return min(_SAFETY / rate, config.horizon)
+    return min(_SAFETY / max(mesh_terms(config).values()), config.horizon)
 
 
 def bound_constants(config: SandwichConfig) -> BoundConstants:

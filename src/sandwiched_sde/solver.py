@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+STEPPERS = ("auto", "closed", "generic")  # simulate's stepper choices
 
 
 class StepError(RuntimeError):
@@ -74,9 +75,10 @@ def implicit_step_cir(drift: DriftSpec, t_next: float, delta: float,
 
     Solves y = rhs + (kappa1/y - kappa2*y)*delta for the unique positive
     root; the discriminant is positive for any rhs when kappa1 > 0. The
-    CIR drift does not depend on t_next. A one-step window of the kernel
-    that ``simulate`` runs, so both take the same floating-point path;
-    ValueError for a drift without this closed form.
+    CIR drift does not depend on t_next. One step of ``simulate`` at
+    DEFAULT_TOL: the value meets the residual contract (a miss is
+    re-solved by Newton) or StepError; ValueError for a drift without
+    this closed form.
     """
     return _one_step("closed_form_cir", drift, t_next, delta, rhs)
 
@@ -132,10 +134,6 @@ def _tsb_affine(phi: np.ndarray, psi: np.ndarray, delta: float, kappa1: float,
             (prod / scale).tolist())
 
 
-_TWO_THIRDS_PI = 2.0 * math.pi / 3.0
-_FOUR_THIRDS_PI = 4.0 * math.pi / 3.0
-
-
 def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float) -> list:
     """Implicit TSB steps from y over the increments dz.
 
@@ -147,12 +145,13 @@ def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float) -> list:
     the step equation times (y - phi)(psi - y) is a cubic F with
     F(phi) = -delta*kappa1*(psi - phi) < 0 < delta*kappa2*(psi - phi)
     = F(psi) and leading coefficient -scale < 0, so F has one root below
-    phi, one inside (phi, psi) and one above psi. A step with
-    p^3 + q^2 >= 0, or without exactly one root inside, has lost its
-    roots to round-off: the returned values stop before it.
+    phi, one inside (phi, psi) and one above psi. The step is the middle
+    trigonometric root. A step with p^3 + q^2 >= 0, or whose middle root
+    round-off has put outside (phi, psi), stops the returned values
+    before it; the caller's Newton solve takes that step.
     """
     sqrt, acos, cos = math.sqrt, math.acos, math.cos
-    turn1, turn2 = _TWO_THIRDS_PI, _FOUR_THIRDS_PI
+    turn = 2.0 * math.pi / 3.0
     out = []
     append = out.append
     for d, a2, a1, f1, a0, f0, lo, hi in zip(dz, *coefs, phi, psi):
@@ -170,21 +169,8 @@ def _tsb_steps(y: float, dz, coefs: tuple, phi, psi, scale: float) -> list:
             arg = 1.0
         elif arg < -1.0:
             arg = -1.0
-        t3 = acos(arg) / 3.0
-        m += m
-        r0 = m * cos(t3) - shift
-        r1 = m * cos(t3 - turn1) - shift
-        r2 = m * cos(t3 - turn2) - shift
-        # r0 >= r1 >= r2, and the middle root is the one inside unless
-        # round-off decides otherwise.
-        inside0, inside2 = lo < r0 < hi, lo < r2 < hi
-        if lo < r1 < hi:
-            if inside0 or inside2:
-                return out
-            y = r1
-        elif inside0 != inside2:
-            y = r0 if inside0 else r2
-        else:
+        y = (m + m) * cos(acos(arg) / 3.0 - turn) - shift
+        if not lo < y < hi:
             return out
         append(y)
     return out
@@ -209,9 +195,10 @@ def implicit_step_tsb(drift: DriftSpec, t_next: float, delta: float,
                       rhs: float) -> float:
     """Implicit TSB step: the unique cubic root inside (phi, psi).
 
-    A one-step window of the kernel that ``simulate`` runs, so both
-    take the same floating-point path; ValueError for a drift without
-    this closed form.
+    One step of ``simulate`` at DEFAULT_TOL: the value lies strictly
+    inside and meets the residual contract (a root lost to round-off or
+    a miss is re-solved by Newton) or StepError; ValueError for a drift
+    without this closed form.
     """
     return _one_step("cardano_tsb", drift, t_next, delta, rhs)
 
@@ -228,17 +215,13 @@ _WINDOWS = {
 
 def _one_step(route: str, drift: DriftSpec, t_next: float, delta: float,
               rhs: float) -> float:
-    """The step of ``route``'s window kernel at t_next from rhs."""
+    """One step of the scheme at t_next from rhs, by ``route`` at DEFAULT_TOL."""
     if drift.closed_form is None or drift.closed_form[0] != route:
         raise ValueError(f"the drift has no {route} closed form")
-    # The kernel reads the barriers at tt[1] only.
-    out = _WINDOWS[route](drift.closed_form[1], delta, np.full(2, t_next),
-                          np.zeros(1), drift.bounds)(rhs, 0, 1)
-    if not out:
-        raise StepError(
-            f"expected exactly one real root in {drift.bounds.values(t_next)} "
-            f"for rhs={rhs}; mesh condition likely violated")
-    return out[0]
+    # The loop reads the grid at tt[1] only.
+    values, _ = _run(drift, route, drift.closed_form[1], delta,
+                     np.full(2, t_next), np.zeros(1), rhs, DEFAULT_TOL)
+    return float(values[1])
 
 
 _BRACKET_BUDGET = 64
@@ -322,8 +305,8 @@ def implicit_step_generic(drift: DriftSpec, t_next: float, delta: float,
 
 
 def _choose_stepper(drift: DriftSpec, stepper: str) -> tuple:
-    """(route label, constants) for ``stepper`` (auto, closed or generic)."""
-    if stepper not in ("auto", "closed", "generic"):
+    """(route label, constants) for ``stepper``, one of STEPPERS."""
+    if stepper not in STEPPERS:
         raise ValueError(f"unknown stepper {stepper!r}")
     if stepper == "generic" or drift.closed_form is None:
         if stepper == "closed":
@@ -340,16 +323,10 @@ _RESUME_WINDOW = 64
 _STEP_WINDOW = 2048
 
 
-def simulate(config: SandwichConfig, noise: NoisePath,
-             stepper: str = "auto", tol: float = DEFAULT_TOL,
-             unsafe_mesh: bool = False) -> SimulatedPath:
-    """Run the backward Euler scheme over the whole grid.
-
-    Refuses to run when the mesh condition fails (uniqueness of the
-    implicit step is only guaranteed under it) unless ``unsafe_mesh``.
-    Every accepted step meets the residual contract
-    |y - b(t,y)*delta - z| <= tol*max(1,|z|); a step that cannot meet it
-    raises StepError naming the step index.
+def _run(drift: DriftSpec, route: str, constants, delta: float, tt, dz,
+         y0: float, tol: float) -> tuple:
+    """The scheme's steps from y0 over the increments dz at the grid
+    points tt: (values, residuals), each of length len(dz) + 1.
 
     One loop steps every route through windows of at most
     ``_STEP_WINDOW`` steps; the route only picks the window kernel. The
@@ -357,28 +334,18 @@ def simulate(config: SandwichConfig, noise: NoisePath,
     path, the TSB cubic's z-independent coefficients with numpy on the
     grid), and one array call of ``drift.b`` checks the contract on the
     steps a kernel took. The generic route's kernel takes no step. The
-    window's first failing step k (a contract miss, a TSB step whose
-    cubic lost its roots to round-off, or any generic step) is solved by
+    window's first failing step k (a contract miss, a TSB step without
+    its middle root inside, or any generic step) is solved by
     ``implicit_step_generic``; the kernel then resumes at k + 1 over
     ``_RESUME_WINDOW`` steps, a window that doubles up to
-    ``_STEP_WINDOW`` while no step fails.
+    ``_STEP_WINDOW`` while no step fails. A step that cannot meet the
+    contract raises StepError naming the step index.
     """
-    if noise.grid != config.grid:
-        raise ValueError("noise grid does not match configuration grid")
-    if config.mesh > max_mesh(config) and not unsafe_mesh:
-        raise ValueError(
-            f"mesh {config.mesh:.6g} exceeds the admissible maximum "
-            f"{max_mesh(config):.6g}; pass unsafe_mesh=True to override")
-    drift = config.drift
-    mode, constants = _choose_stepper(drift, stepper)
-    n, delta = config.grid_points, config.mesh
-    tt = config.grid.points
-    dz = np.diff(noise.values)
+    n = len(dz)
     values = np.empty(n + 1)
     residuals = np.zeros(n + 1)
-    values[0] = config.y0
-
-    steps = _WINDOWS[mode](constants, delta, tt, dz, drift.bounds)
+    values[0] = y0
+    steps = _WINDOWS[route](constants, delta, tt, dz, drift.bounds)
 
     start, window = 0, _STEP_WINDOW
     while start < n:
@@ -413,8 +380,33 @@ def simulate(config: SandwichConfig, noise: NoisePath,
             kind = type(exc) if isinstance(exc, StepError) else StepError
             raise kind(f"step {k} (t={t:.6g}, rhs={z:.6g}): {exc}") from exc
         start, window = k, _RESUME_WINDOW
+    return values, residuals
+
+
+def simulate(config: SandwichConfig, noise: NoisePath,
+             stepper: str = "auto", tol: float = DEFAULT_TOL,
+             unsafe_mesh: bool = False) -> SimulatedPath:
+    """Run the backward Euler scheme over the whole grid.
+
+    Refuses to run when the mesh condition fails (uniqueness of the
+    implicit step is only guaranteed under it) unless ``unsafe_mesh``.
+    Every accepted step meets the residual contract
+    |y - b(t,y)*delta - z| <= tol*max(1,|z|); a step that cannot meet it
+    raises StepError naming the step index. The steps are those of the
+    one-step forms, all taken by ``_run``.
+    """
+    if noise.grid != config.grid:
+        raise ValueError("noise grid does not match configuration grid")
+    if config.mesh > max_mesh(config) and not unsafe_mesh:
+        raise ValueError(
+            f"mesh {config.mesh:.6g} exceeds the admissible maximum "
+            f"{max_mesh(config):.6g}; pass unsafe_mesh=True to override")
+    route, constants = _choose_stepper(config.drift, stepper)
+    values, residuals = _run(config.drift, route, constants, config.mesh,
+                             config.grid.points, np.diff(noise.values),
+                             config.y0, tol)
     return SimulatedPath(grid=config.grid, values=values,
-                         noise_seed=noise.seed, stepper=mode,
+                         noise_seed=noise.seed, stepper=route,
                          residuals=residuals)
 
 

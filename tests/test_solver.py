@@ -443,20 +443,15 @@ def stepwise_reference(cfg, noise, tol=1e-12):
 def reference_step(cfg, t_next, y_prev, dz, tol=1e-12):
     """One step of simulate() from the public one-step solvers.
 
-    The step takes the closed form (the generic solver where the cubic
-    has no unique root inside the barriers) and is polished by the
-    generic solver whenever it misses the residual contract.
+    They check the residual contract at DEFAULT_TOL; a step that misses
+    a tighter ``tol`` is polished by the generic solver, as in simulate().
     """
     drift = cfg.drift
     delta = cfg.mesh
     z = y_prev + dz
-    if drift.closed_form[0] == "closed_form_cir":
-        y = implicit_step_cir(drift, t_next, delta, z)
-    else:
-        try:
-            y = implicit_step_tsb(drift, t_next, delta, z)
-        except StepError:
-            y, _ = implicit_step_generic(drift, t_next, delta, z, tol=tol)
+    step = (implicit_step_cir if drift.closed_form[0] == "closed_form_cir"
+            else implicit_step_tsb)
+    y = step(drift, t_next, delta, z)
     if abs(y - drift.b(t_next, y) * delta - z) > tol * max(1.0, abs(z)):
         y, _ = implicit_step_generic(drift, t_next, delta, z, tol=tol)
     return y
@@ -543,8 +538,8 @@ class TestClosedFormLoop:
                                 0.7, 0.0, 0.25)
         drift = tsb_drift(0.5, 0.5, 0.0, bounds)
         cfg = SandwichConfig(0.5, drift, 1)
-        with pytest.raises(StepError):
-            implicit_step_tsb(drift, 0.25, 0.25, 0.5 - 1e8)
+        assert implicit_step_tsb(drift, 0.25, 0.25, 0.5 - 1e8) == \
+            implicit_step_generic(drift, 0.25, 0.25, 0.5 - 1e8)[0]
         path = simulate(cfg, one_step_noise(cfg, -1e8))
         assert path.stepper == "cardano_tsb"
         assert path.values[1] == implicit_step_generic(drift, 0.25, 0.25,
@@ -778,6 +773,84 @@ _NEAR_BARRIER = st.tuples(st.sampled_from(("phi", "psi")),
                           st.sampled_from((-1.0, 1.0)), st.floats(1e-12, 1e-2))
 _FREE_RHS = st.tuples(st.just("free"), st.sampled_from((-1.0, 1.0)),
                       st.floats(1e-12, 1e2))
+# A free right-hand side out to +-1e4.
+_WIDE_RHS = st.tuples(st.just("free"), st.sampled_from((-1.0, 1.0)),
+                      st.floats(1e-12, 1e4))
+
+
+class TestOneStepForms:
+    """Each one-step form is one step of simulate() at DEFAULT_TOL: a value
+    strictly inside that meets the residual contract, with the bits of
+    simulate() over that single step, or the StepError simulate() raises."""
+
+    @staticmethod
+    def check(family, share, y0, target):
+        # The mesh condition does not depend on the horizon: a first drift
+        # finds the largest mesh, the second has the step as its horizon.
+        drift = family(1e6)
+        delta = share * max_mesh(SandwichConfig(y0, drift, 1))
+        drift = family(delta)
+        cfg = SandwichConfig(y0, drift, 1)
+        assert cfg.mesh == delta <= max_mesh(cfg)
+        phi, psi = drift.bounds.values(delta)
+        base = {"phi": phi, "psi": psi, "free": 0.0}[target[0]]
+        dz = base + target[1] * target[2] - y0
+        rhs = y0 + dz
+        step = (implicit_step_cir if drift.closed_form[0] == "closed_form_cir"
+                else implicit_step_tsb)
+        try:
+            y = step(drift, delta, delta, rhs)
+        except StepError as exc:
+            with pytest.raises(type(exc)) as info:
+                simulate(cfg, one_step_noise(cfg, dz))
+            assert str(info.value) == str(exc)
+            return
+        assert phi < y < psi
+        resid = abs(y - drift.b(delta, y) * delta - rhs)
+        assert resid <= solver.DEFAULT_TOL * max(1.0, abs(rhs))
+        path = simulate(cfg, one_step_noise(cfg, dz))
+        assert y.hex() == float(path.values[1]).hex()
+
+    @_PROPERTY
+    @given(kappa1=st.floats(0.1, 3.0), kappa2=st.floats(0.1, 3.0),
+           share=st.floats(1e-3, 1.0),
+           target=st.one_of(_NEAR_BARRIER.filter(lambda t: t[0] == "phi"),
+                            _WIDE_RHS))
+    def test_cir(self, kappa1, kappa2, share, target):
+        self.check(lambda horizon: cir_drift(kappa1, kappa2, 1.0, 0.7, horizon),
+                   share, 1.0, target)
+
+    @_PROPERTY
+    @given(kappa1=st.floats(0.5, 3.0), kappa2=st.floats(0.5, 3.0),
+           kappa3=st.floats(-2.0, 2.0), share=st.floats(1e-3, 1.0),
+           sin_barriers=st.booleans(),
+           target=st.one_of(_NEAR_BARRIER, _WIDE_RHS))
+    def test_tsb(self, kappa1, kappa2, kappa3, share, sin_barriers, target):
+        if sin_barriers:
+            phi, psi, y0, holder = (sin_bound(0.0, 1.0, 10.0),
+                                    sin_bound(2.0, 1.0, 10.0), 1.0, 20.0)
+        else:
+            phi, psi, y0, holder = (constant_bound(-1.0), constant_bound(1.0),
+                                    0.0, 0.0)
+        self.check(lambda horizon: tsb_drift(kappa1, kappa2, kappa3, BoundFunctions(
+            phi, psi, 0.7, holder, horizon)), share, y0, target)
+
+    @pytest.mark.parametrize("drift, t_next, delta, rhs", [
+        # The middle root misses the contract by 3.3x at the parent.
+        (symmetric_tsb(kappa3=0.25), 0.5, 0.0013279897378917556,
+         3.9148092959491687),
+        # A shock between barriers 0 and 1: the root lies 1.25e-5 above phi
+        # and the closed form's residual was 0.81 against a bound of 1e-8.
+        (tsb_drift(0.5, 0.5, 0.0, BoundFunctions(
+            constant_bound(0.0), constant_bound(1.0), 0.7, 0.0, 0.25)),
+         0.25, 0.25, 0.5 - 1e4),
+    ])
+    def test_recorded_contract_misses(self, drift, t_next, delta, rhs):
+        y = implicit_step_tsb(drift, t_next, delta, rhs)
+        lo, hi = drift.bounds.values(t_next)
+        assert lo < y < hi
+        resid = abs(y - drift.b(t_next, y) * delta - rhs)
+        assert resid <= solver.DEFAULT_TOL * max(1.0, abs(rhs))
 
 
 class TestTsbKernelProperty:
