@@ -155,7 +155,7 @@ def cmd_noise(args) -> int:
         write_noise(generate_noise(rc.driver, grid, seed))
     else:
         # Called through the module: wrappers of noise.covariance_matrix see it.
-        cov = noise.covariance_matrix(rc.driver, grid, packed=True)
+        cov = noise.covariance_matrix(rc.driver, grid)
         step = max(1, _DUMP_BLOCK // grid.n)
         with _atomic_file(os.path.join(out, f"cov_{seed}.csv")) as fh:
             # The whole dump is written before the sample factors cov in

@@ -5,19 +5,22 @@ Supported drivers: standard Brownian motion, fractional Brownian motion
 function, and arbitrary user-supplied covariance kernels. Paths are
 generated on uniform grids either by Cholesky factorization of the
 covariance matrix or, for fBm, by circulant embedding of the increment
-covariance.
+covariance. SciPy, whose Gamma function only the mBm covariance needs, is
+imported when an mBm driver is built or ``mbm_covariance`` is first called.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
+# numpy 2 loads these lazily; load them here, not in a process's first path.
+from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gamma as _gamma_fn
+from numpy.random import Generator, Philox
 
 __all__ = [
     "TimeGrid",
@@ -111,6 +114,13 @@ class NoisePath:
         return np.diff(self.values)
 
 
+@cache
+def _gamma():
+    # Imported on first use: scipy.special costs a process about 0.2 s and 18 MB.
+    from scipy.special import gamma
+    return gamma
+
+
 def brownian() -> GaussianDriverSpec:
     return GaussianDriverSpec(kind="brownian", hurst=0.5, cache_key=("brownian",))
 
@@ -122,11 +132,13 @@ def fbm(hurst: float) -> GaussianDriverSpec:
 
 
 def mbm(hurst_fn: Callable[[np.ndarray], np.ndarray]) -> GaussianDriverSpec:
+    _gamma()  # import SciPy while setting up, not inside the first sample
     return GaussianDriverSpec(kind="mbm", hurst_fn=hurst_fn)
 
 
 def mbm_sin(a: float, b: float, c: float) -> GaussianDriverSpec:
     """mBm with the built-in Hurst shape H(t) = a + b*sin(c*t)."""
+    _gamma()
     return GaussianDriverSpec(
         kind="mbm",
         hurst_fn=lambda t: a + b * np.sin(c * t),
@@ -154,7 +166,7 @@ def fbm_covariance(s, t, hurst: float):
 def _mbm_root(h):
     # sqrt(Gamma(2h+1) sin(pi h)): the factor of the mBm normalisation that
     # depends on one index only.
-    return np.sqrt(_gamma_fn(2.0 * h + 1.0) * np.sin(np.pi * h))
+    return np.sqrt(_gamma()(2.0 * h + 1.0) * np.sin(np.pi * h))
 
 
 def mbm_covariance(s, t, hs, ht):
@@ -172,7 +184,7 @@ def mbm_covariance(s, t, hs, ht):
     hsum = hs + ht
     out = np.abs(s) ** hsum + np.abs(t) ** hsum - np.abs(t - s) ** hsum
     out *= _mbm_root(hs) * _mbm_root(ht)
-    out /= 2.0 * _gamma_fn(hsum + 1.0) * np.sin(0.5 * np.pi * hsum)
+    out /= 2.0 * _gamma()(hsum + 1.0) * np.sin(0.5 * np.pi * hsum)
     return out if out.ndim else float(out)
 
 
@@ -239,24 +251,15 @@ def _fill_packed(n: int, rows, packed: Optional[np.ndarray] = None) -> np.ndarra
     return packed
 
 
-def covariance_matrix(spec: GaussianDriverSpec, grid: TimeGrid, *,
-                      packed: bool = False) -> np.ndarray:
+def covariance_matrix(spec: GaussianDriverSpec, grid: TimeGrid) -> np.ndarray:
     """Covariance of (Z(t_1), ..., Z(t_n)); t_0 is excluded since Z(0) = 0.
 
-    Always a fresh C-contiguous float64 array that the caller may
-    overwrite. With ``packed=True`` it holds only the lower block rows, in
-    the flat layout of the Cholesky factor; fBm and mBm then evaluate
-    their kernel on lower rows only, and no n x n array is made.
+    A fresh flat float64 buffer that the caller may overwrite. It holds
+    only the lower block rows, in the packed layout of the Cholesky factor
+    (see ``_block_rows``); fBm and mBm evaluate their kernel on lower rows
+    only, and no n x n array is made.
     """
-    n = grid.n
-    rows = _kernel_rows(spec, grid)
-    if packed:
-        return _fill_packed(n, rows)
-    out = np.empty((n, n))
-    for i0, i1 in _blocks(n):
-        out[i0:i1, :i1] = rows(slice(i0, i1), slice(0, i1))
-        out[:i0, i0:i1] = out[i0:i1, :i0].T  # diagonal blocks are evaluated whole
-    return out
+    return _fill_packed(grid.n, _kernel_rows(spec, grid))
 
 
 class CholeskyError(RuntimeError):
@@ -342,15 +345,15 @@ def _factor_for(spec: GaussianDriverSpec, grid: TimeGrid,
         def refill(packed):
             _fill_packed(n, _kernel_rows(spec, grid), packed)
 
-        packed = covariance_matrix(spec, grid, packed=True) if cov is None else cov
+        packed = covariance_matrix(spec, grid) if cov is None else cov
         factor = _cholesky_with_jitter(packed, n, refill)
     if key is not None:
         _factor_cache[key] = factor
     return factor
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _rng(seed: int) -> Generator:
+    return Generator(Philox(seed))
 
 
 def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
@@ -361,13 +364,13 @@ def sample_path(spec: GaussianDriverSpec, grid: TimeGrid, seed: int,
     to the grid and is deterministic given (spec, grid, seed) and the
     BLAS thread count: the factor and the products go through BLAS, whose
     rounding depends on how many threads it uses. ``cov`` may pass in
-    ``covariance_matrix(spec, grid, packed=True)``: unless a factor is
+    ``covariance_matrix(spec, grid)``: unless a factor is
     cached, it is factored in place (and refilled on a CholeskyError);
     any other shape raises ValueError.
     """
     if cov is not None and np.shape(cov) != (_packed_size(grid.n),):
         raise ValueError(
-            f"cov must be covariance_matrix(..., packed=True), a flat array of "
+            f"cov must be covariance_matrix(spec, grid), a flat array of "
             f"{_packed_size(grid.n)} values for N={grid.n}; got shape {np.shape(cov)}")
     factor = _factor_for(spec, grid, cov)
     xi = _rng(seed).standard_normal(grid.n)
@@ -381,7 +384,7 @@ def _fgn_circulant_eigs(n: int, hurst: float) -> np.ndarray:
     h2 = 2.0 * hurst
     rho = 0.5 * ((k + 1.0) ** h2 + np.abs(k - 1.0) ** h2) - k ** h2
     circ = np.concatenate([rho[:-1], [0.0], rho[-2:0:-1]])
-    return np.fft.fft(circ).real
+    return fft(circ).real
 
 
 @lru_cache(maxsize=8)
@@ -422,7 +425,7 @@ def sample_path_fast_fbm(hurst: float, grid: TimeGrid, seed: int) -> NoisePath:
     v = rng.standard_normal((n - 1, 2))
     z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
     z[n + 1:] = np.conj(z[1:n][::-1])
-    fgn = np.sqrt(2 * n) * np.fft.ifft(root * z).real[:n]
+    fgn = np.sqrt(2 * n) * ifft(root * z).real[:n]
     increments = fgn * grid.delta ** hurst
     values = np.empty(n + 1)
     values[0] = 0.0

@@ -77,12 +77,22 @@ def cholesky_with_jitter(cov):
     return cov
 
 
+def dense_covariance(spec, grid):
+    """The full n x n covariance: the packed lower block rows, mirrored
+    above the diagonal blocks (which the kernel evaluates whole)."""
+    n = grid.n
+    cov = unpack(covariance_matrix(spec, grid), n)
+    for i0, i1 in _blocks(n):
+        cov[:i0, i0:i1] = cov[i0:i1, :i0].T
+    return cov
+
+
 def dense_factor(spec, grid):
     """The n x n factor the library built before the packed layout."""
     n = grid.n
     if spec.kind == "brownian" or (spec.kind == "fbm" and spec.hurst == 0.5):
         return np.tril(np.full((n, n), np.sqrt(grid.delta)))
-    return cholesky_with_jitter(covariance_matrix(spec, grid))
+    return cholesky_with_jitter(dense_covariance(spec, grid))
 
 
 def dense_sample(factor, seed):

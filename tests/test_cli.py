@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_cholesky import dense_covariance
 from sandwiched_sde import cli, noise, solver
 from sandwiched_sde.cli import _csv, _csv_lines, main
 from sandwiched_sde.config import ConfigError, load_config, parse_config
@@ -455,23 +456,23 @@ class TestNoiseCommand:
         build = noise.covariance_matrix
         calls = []
 
-        def counting(spec, grid, **layout):
-            calls.append((grid.n, layout))
-            return build(spec, grid, **layout)
+        def counting(spec, grid):
+            calls.append(grid.n)
+            return build(spec, grid)
 
         monkeypatch.setattr(noise, "_factor_cache", {})
         monkeypatch.setattr(noise, "covariance_matrix", counting)
         out = tmp_path / "out"
         assert main(["noise", "--config", cfg, "--out", str(out), "--cov"]) == 0
-        # Once, packed: the dump is written from the lower block rows.
-        assert calls == [(64, {"packed": True})]
+        # Once: the dump is written from the packed lower block rows.
+        assert calls == [64]
         # Same bytes as a separate cold Cholesky sample and covariance dump.
         monkeypatch.setattr(noise, "_factor_cache", {})
         rc = load_config(cfg)
         path = noise.sample_path(rc.driver, rc.config.grid, 11)
         assert (out / "noise_11.csv").read_text() == _csv(
             "t,z", (path.grid.points, path.values))
-        cov = build(rc.driver, rc.config.grid)
+        cov = dense_covariance(rc.driver, rc.config.grid)
         assert (out / "cov_11.csv").read_text() == "\n".join(
             _csv_lines(cov.tolist())) + "\n"
 
@@ -487,8 +488,8 @@ class TestNoiseCommand:
         build, sample = noise.covariance_matrix, cli.sample_path
         marks = {}
 
-        def building(spec, grid, **layout):
-            cov = build(spec, grid, **layout)
+        def building(spec, grid):
+            cov = build(spec, grid)
             marks["base"] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             return cov

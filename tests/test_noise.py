@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sandwiched_sde
-from dense_cholesky import dense_factor, dense_sample, unpack
+from dense_cholesky import dense_covariance, dense_factor, dense_sample, unpack
 from sandwiched_sde import noise as noise_module
 from sandwiched_sde.noise import (
     CholeskyError,
@@ -133,7 +134,7 @@ class TestCovariances:
         grid = TimeGrid(1.0, 32)
         for spec in (brownian(), fbm(0.3), fbm(0.8),
                      mbm_sin(0.5, 0.2, 2 * np.pi)):
-            cov = covariance_matrix(spec, grid)
+            cov = dense_covariance(spec, grid)
             assert np.array_equal(cov, cov.T)
             assert np.min(np.linalg.eigvalsh(cov)) > -1e-10
 
@@ -188,14 +189,15 @@ class TestSamplePath:
                                            (256, "short")])
     def test_cov_of_wrong_shape_rejected(self, monkeypatch, n, layout):
         spec, grid = mbm_sin(0.5, 0.2, 2 * np.pi), TimeGrid(1.0, n)
-        packed = covariance_matrix(spec, grid, packed=True)
-        cov = covariance_matrix(spec, grid) if layout == "dense" else packed[:-5]
+        packed = covariance_matrix(spec, grid)
+        cov = dense_covariance(spec, grid) if layout == "dense" else packed[:-5]
 
         def no_factor(*args, **kwargs):
             raise AssertionError("factor work began")
 
         monkeypatch.setattr(noise_module, "_factor_for", no_factor)
-        with pytest.raises(ValueError, match=rf"packed=True.* {len(packed)} values"):
+        match = rf"covariance_matrix\(spec, grid\).* {len(packed)} values"
+        with pytest.raises(ValueError, match=match):
             sample_path(spec, grid, 1, cov=cov)
 
     def test_path_rejects_nonzero_start(self):
@@ -235,7 +237,7 @@ class TestFastFbm:
         draws = np.array([sample_path_fast_fbm(0.3, grid, 1000 + s).values[1:]
                           for s in range(m)])
         emp = draws.T @ draws / m
-        cov = covariance_matrix(fbm(0.3), grid)
+        cov = dense_covariance(fbm(0.3), grid)
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / m)
         assert np.all(np.abs(emp - cov) <= 5.0 * se)
 
@@ -517,8 +519,8 @@ class TestCovarianceBuffer:
         spec = mbm_sin(0.5, 0.2, 2 * np.pi)
         h = spec.hurst_fn(t)
         full = mbm_covariance(t[:, None], t[None, :], h[:, None], h[None, :])
-        assert np.array_equal(covariance_matrix(spec, grid), full)
-        assert np.array_equal(covariance_matrix(fbm(0.3), grid),
+        assert np.array_equal(dense_covariance(spec, grid), full)
+        assert np.array_equal(dense_covariance(fbm(0.3), grid),
                               fbm_covariance(t[:, None], t[None, :], 0.3))
 
 
@@ -531,9 +533,9 @@ class TestBlockedCholesky:
         (mbm_sin(0.5, 0.2, 2 * np.pi), 1024), (fbm(0.3), 600)])
     def test_matches_numpy_cholesky(self, spec, n):
         grid = TimeGrid(1.0, n)
-        cov = covariance_matrix(spec, grid)
+        cov = dense_covariance(spec, grid)
         ref = np.linalg.cholesky(cov)
-        packed = covariance_matrix(spec, grid, packed=True)
+        packed = covariance_matrix(spec, grid)
         factor = unpack(noise_module._cholesky_with_jitter(packed, n, never_refill), n)
         # Measured 8.0e-13 (mBm, N=1024) and 3.8e-14 (fBm, N=600).
         assert factor_gap(factor, ref) <= 1e-12
@@ -546,8 +548,8 @@ class TestBlockedCholesky:
     def test_block_edges(self, n):
         # Blocks of 256: below one block, exactly one, and ragged last blocks.
         grid = TimeGrid(1.0, n)
-        cov = covariance_matrix(fbm(0.3), grid)
-        packed = covariance_matrix(fbm(0.3), grid, packed=True)
+        cov = dense_covariance(fbm(0.3), grid)
+        packed = covariance_matrix(fbm(0.3), grid)
         full, ragged = divmod(n, 256)
         assert packed.size == 256 * 256 * full * (full + 1) // 2 + ragged * n
         rows = list(noise_module._block_rows(packed, n))
@@ -582,7 +584,7 @@ class TestBlockedCholesky:
             factor = unpack(noise_module._factor_for(spec, grid), n)
         jitter = float(re.search(r"jitter (\S+)", str(record[0].message))[1])
         assert jitter > 0.0
-        cov = covariance_matrix(spec, grid)
+        cov = dense_covariance(spec, grid)
         gram = factor @ factor.T
         assert np.max(np.abs(gram - (cov + jitter * np.eye(n)))) <= 1e-12
         assert np.allclose(np.diag(gram) - np.diag(cov), jitter, rtol=0.05,
@@ -609,14 +611,14 @@ class TestBlockedCholesky:
         assert np.array_equal(stored, before)
         # A caller's packed covariance is factored in place, and refilled
         # from the kernel when every attempt fails.
-        work = covariance_matrix(stored_kernel(stored), grid, packed=True)
+        work = covariance_matrix(stored_kernel(stored), grid)
         packed_before = work.copy()
         with pytest.raises(CholeskyError, match=f"{smallest:.3e}"):
             sample_path(stored_kernel(stored), grid, 0, cov=work)
         assert np.array_equal(work, packed_before)
         assert np.array_equal(stored, before)
         # Each failed attempt is undone by refilling from the source.
-        packed = covariance_matrix(stored_kernel(stored), grid, packed=True)
+        packed = covariance_matrix(stored_kernel(stored), grid)
         source = packed.copy()
         refills = []
 
@@ -717,7 +719,7 @@ class TestJitterProperty:
         lower = unpack(factor, n)
         gap = np.max(np.abs(lower @ lower.T - (matrix + amount * np.eye(n))))
         assert gap <= 1e-12 * np.max(np.abs(matrix))
-        cov = covariance_matrix(spec, grid, packed=True)
+        cov = covariance_matrix(spec, grid)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             from_caller = noise_module._factor_for(spec, grid, cov=cov)
@@ -745,3 +747,58 @@ def test_import_leaves_scipy_linalg_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "bench", "configs")
+_IMPORTS = ("import json, os, sys\n"
+            "import numpy as np\n"
+            "import sandwiched_sde, sandwiched_sde.cli\n"
+            "from sandwiched_sde import config, noise, solver\n"
+            "imported = set(sys.modules)\n")
+# Each case: the code run after _IMPORTS, and the JSON it must print.
+_FRESH_RUNS = {
+    # The paper's CIR and TSB runs on fBm load no scipy module at all, and
+    # their paths load no numpy submodule that the import did not.
+    "fbm_runs": ((
+        "for name in ('cir_fbm.json', 'tsb_fbm.json'):\n"
+        "    rc = config.load_config(os.path.join(CONFIGS, name))\n"
+        "    z = noise.generate_noise(rc.driver, rc.config.grid, rc.seed)\n"
+        "    path = solver.simulate(rc.config, z)\n"
+        "    assert solver.check_sandwich(path, rc.config).strict_ok\n"
+        "new = set(sys.modules) - imported\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+        "                  sorted(m for m in new if m.startswith('numpy'))]))\n"),
+        [[], []]),
+    # An mBm config loads scipy.special while it is read, before any path.
+    "mbm_config": ((
+        "before = 'scipy.special' in sys.modules\n"
+        "config.load_config(os.path.join(CONFIGS, 'power_mbm.json'))\n"
+        "print(json.dumps([before, 'scipy.special' in sys.modules]))\n"),
+        [False, True]),
+    # A custom kernel's first mbm_covariance call loads Gamma itself, with
+    # the bits it has once a builder has loaded it.
+    "mbm_covariance_first": ((
+        "s, h = np.linspace(0.0, 2.0, 7), np.linspace(0.05, 0.95, 7)\n"
+        "args = [(s[:, None], s[None, :], h[:, None], h[None, :]),\n"
+        "        (0.3, 0.7, 0.2, 0.9)]\n"
+        "bits = lambda: [[x.hex() for x in np.ravel(noise.mbm_covariance(*a))]\n"
+        "                for a in args]\n"
+        "cold = bits()\n"
+        "noise.mbm_sin(0.5, 0.2, 2 * np.pi)\n"
+        "print(json.dumps(cold == bits()))\n"),
+        True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRESH_RUNS))
+def test_scipy_special_loads_only_for_mbm(case):
+    body, want = _FRESH_RUNS[case]
+    src = os.path.dirname(os.path.dirname(sandwiched_sde.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = _IMPORTS + f"CONFIGS = {CONFIGS!r}\n" + body
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == want
